@@ -19,13 +19,26 @@ fn main() {
     let mut by_inflow = 0usize;
     let mut total = 0usize;
     for (iid, invoke) in program.invokes.iter() {
-        if !insens.reachable_methods.contains(invoke.method) { continue; }
+        if !insens.reachable_methods.contains(invoke.method) {
+            continue;
+        }
         total += 1;
-        if set.no_refine_invokes.contains(iid) { by_inflow += 1; continue; }
+        if set.no_refine_invokes.contains(iid) {
+            by_inflow += 1;
+            continue;
+        }
         if let Some(targets) = insens.call_targets.get(&iid) {
             if !targets.is_empty() && targets.iter().all(|&t| set.no_refine_methods.contains(t)) {
-                let label = targets.iter().map(|&t| program.method_display(t)).collect::<Vec<_>>().join("|");
-                let label = if label.len() > 60 { format!("{}...", &label[..60]) } else { label };
+                let label = targets
+                    .iter()
+                    .map(|&t| program.method_display(t))
+                    .collect::<Vec<_>>()
+                    .join("|");
+                let label = if label.len() > 60 {
+                    format!("{}...", &label[..60])
+                } else {
+                    label
+                };
                 *by_target.entry(label).or_default() += 1;
             }
         }

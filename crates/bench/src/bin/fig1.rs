@@ -15,7 +15,10 @@ use rudoop_ir::ClassHierarchy;
 use rudoop_workloads::dacapo;
 
 fn main() {
-    println!("Figure 1: insens vs 2objH running cost (budget = {})", table::mega(STANDARD_BUDGET));
+    println!(
+        "Figure 1: insens vs 2objH running cost (budget = {})",
+        table::mega(STANDARD_BUDGET)
+    );
     println!();
     let mut rows = Vec::new();
     for spec in dacapo::all_nine() {
@@ -43,19 +46,38 @@ fn main() {
             table::cost_cell(&base, STANDARD_BUDGET),
             table::secs(base.duration),
             table::cost_cell(&obj, STANDARD_BUDGET),
-            if obj.complete() { table::secs(obj.duration) } else { "timeout".into() },
+            if obj.complete() {
+                table::secs(obj.duration)
+            } else {
+                "timeout".into()
+            },
         ]);
     }
     println!(
         "{}",
         table::render(
-            &["benchmark", "insens(derivs)", "insens(s)", "2objH(derivs)", "2objH(s)"],
+            &[
+                "benchmark",
+                "insens(derivs)",
+                "insens(s)",
+                "2objH(derivs)",
+                "2objH(s)"
+            ],
             &rows
         )
     );
     println!("CSV:");
     println!(
         "{}",
-        table::csv(&["benchmark", "insens_derivs", "insens_s", "objH_derivs", "objH_s"], &rows)
+        table::csv(
+            &[
+                "benchmark",
+                "insens_derivs",
+                "insens_s",
+                "objH_derivs",
+                "objH_s"
+            ],
+            &rows
+        )
     );
 }

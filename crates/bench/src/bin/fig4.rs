@@ -29,7 +29,12 @@ fn main() {
         let b = HeuristicB::default().select(&program, &metrics, &insens);
         let sa = RefinementStats::compute(&program, &insens, &a);
         let sb = RefinementStats::compute(&program, &insens, &b);
-        let cells = [sa.call_site_pct(), sb.call_site_pct(), sa.object_pct(), sb.object_pct()];
+        let cells = [
+            sa.call_site_pct(),
+            sb.call_site_pct(),
+            sa.object_pct(),
+            sb.object_pct(),
+        ];
         for (s, c) in sums.iter_mut().zip(cells) {
             *s += c;
         }
@@ -51,7 +56,13 @@ fn main() {
     println!(
         "{}",
         table::render(
-            &["benchmark", "CallSites A", "CallSites B", "Objects A", "Objects B"],
+            &[
+                "benchmark",
+                "CallSites A",
+                "CallSites B",
+                "Objects A",
+                "Objects B"
+            ],
             &rows
         )
     );

@@ -32,13 +32,22 @@ fn main() {
             table::secs(insens.stats.duration),
             table::secs(overhead - insens.stats.duration.min(overhead)),
             table::secs(run.duration),
-            format!("{:.0}%", 100.0 * overhead.as_secs_f64() / run.duration.as_secs_f64().max(1e-9)),
+            format!(
+                "{:.0}%",
+                100.0 * overhead.as_secs_f64() / run.duration.as_secs_f64().max(1e-9)
+            ),
         ]);
     }
     println!(
         "{}",
         table::render(
-            &["benchmark", "pass1 (s)", "selection (s)", "pass2 (s)", "overhead/pass2"],
+            &[
+                "benchmark",
+                "pass1 (s)",
+                "selection (s)",
+                "pass2 (s)",
+                "overhead/pass2"
+            ],
             &rows
         )
     );

@@ -19,8 +19,11 @@ use rudoop_workloads::dacapo;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let names: Vec<&str> =
-        if args.is_empty() { vec!["hsqldb", "chart"] } else { args.iter().map(String::as_str).collect() };
+    let names: Vec<&str> = if args.is_empty() {
+        vec!["hsqldb", "chart"]
+    } else {
+        args.iter().map(String::as_str).collect()
+    };
     let config = SolverConfig {
         budget: Budget::derivations(STANDARD_BUDGET),
         ..SolverConfig::default()
@@ -37,22 +40,36 @@ fn main() {
         for scale in [1u32, 2, 4] {
             heuristics.push((
                 format!("A(K={},L={},M={})", 100 / scale, 100 / scale, 200 / scale),
-                Box::new(HeuristicA { k: 100 / scale, l: 100 / scale, m: 200 / scale }),
+                Box::new(HeuristicA {
+                    k: 100 / scale,
+                    l: 100 / scale,
+                    m: 200 / scale,
+                }),
             ));
             if scale > 1 {
                 heuristics.push((
                     format!("A(K={},L={},M={})", 100 * scale, 100 * scale, 200 * scale),
-                    Box::new(HeuristicA { k: 100 * scale, l: 100 * scale, m: 200 * scale }),
+                    Box::new(HeuristicA {
+                        k: 100 * scale,
+                        l: 100 * scale,
+                        m: 200 * scale,
+                    }),
                 ));
             }
             heuristics.push((
                 format!("B(P=Q={})", 10_000 / scale),
-                Box::new(HeuristicB { p: 10_000 / scale, q: 10_000 / scale }),
+                Box::new(HeuristicB {
+                    p: 10_000 / scale,
+                    q: 10_000 / scale,
+                }),
             ));
             if scale > 1 {
                 heuristics.push((
                     format!("B(P=Q={})", 10_000 * scale),
-                    Box::new(HeuristicB { p: 10_000 * scale, q: 10_000 * scale }),
+                    Box::new(HeuristicB {
+                        p: 10_000 * scale,
+                        q: 10_000 * scale,
+                    }),
                 ));
             }
         }
@@ -70,7 +87,11 @@ fn main() {
             rows.push(vec![
                 name.to_owned(),
                 label.clone(),
-                if run.result.outcome.is_complete() { "ok".into() } else { "BUDGET".into() },
+                if run.result.outcome.is_complete() {
+                    "ok".into()
+                } else {
+                    "BUDGET".into()
+                },
                 table::mega(run.result.stats.derivations),
                 if run.result.outcome.is_complete() {
                     pm.polymorphic_call_sites.to_string()
@@ -89,7 +110,10 @@ fn main() {
     println!();
     println!(
         "{}",
-        table::render(&["bench", "heuristic", "outcome", "derivs", "poly", "casts"], &rows)
+        table::render(
+            &["bench", "heuristic", "outcome", "derivs", "poly", "casts"],
+            &rows
+        )
     );
     println!("The qualitative picture (which heuristic scales, roughly what precision)");
     println!("should be stable across the sweep — the paper's §3 robustness claim.");

@@ -15,7 +15,9 @@ fn main() {
     let specs = if args.is_empty() {
         dacapo::all_nine()
     } else {
-        args.iter().map(|n| dacapo::by_name(n).unwrap_or_else(|| panic!("unknown: {n}"))).collect()
+        args.iter()
+            .map(|n| dacapo::by_name(n).unwrap_or_else(|| panic!("unknown: {n}")))
+            .collect()
     };
     let mut rows = Vec::new();
     for spec in specs {
@@ -42,11 +44,22 @@ fn main() {
             AnalysisVariant::IntroB(Flavor::CALL2H),
         ];
         for v in variants {
-            let run = run_variant(&spec.name, &program, &hierarchy, v, STANDARD_BUDGET, &insens);
+            let run = run_variant(
+                &spec.name,
+                &program,
+                &hierarchy,
+                v,
+                STANDARD_BUDGET,
+                &insens,
+            );
             rows.push(vec![
                 run.benchmark.clone(),
                 run.analysis.clone(),
-                if run.complete() { "ok".into() } else { "BUDGET".into() },
+                if run.complete() {
+                    "ok".into()
+                } else {
+                    "BUDGET".into()
+                },
                 table::mega(run.derivations),
                 table::secs(run.duration),
                 run.precision.polymorphic_call_sites.to_string(),

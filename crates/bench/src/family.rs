@@ -31,7 +31,9 @@ pub fn run_family(flavor: Flavor, budget: u64) -> FamilyResults {
             AnalysisVariant::IntroB(flavor),
             AnalysisVariant::Base(flavor),
         ] {
-            runs.push(run_variant(&spec.name, &program, &hierarchy, variant, budget, &insens));
+            runs.push(run_variant(
+                &spec.name, &program, &hierarchy, variant, budget, &insens,
+            ));
         }
     }
     FamilyResults { flavor, runs }
@@ -59,7 +61,7 @@ pub fn print_family(figure: &str, results: &FamilyResults) {
             .iter()
             .map(|g| {
                 let mut row = vec![g[0].benchmark.clone()];
-                row.extend(g.iter().map(|r| cell(r)));
+                row.extend(g.iter().map(cell));
                 row
             })
             .collect();
@@ -77,9 +79,10 @@ pub fn print_family(figure: &str, results: &FamilyResults) {
             "timeout".into()
         }
     });
-    section("Calls that cannot be devirtualized (lower is better):", &|r| {
-        table::precision_cell(r, r.precision.polymorphic_call_sites)
-    });
+    section(
+        "Calls that cannot be devirtualized (lower is better):",
+        &|r| table::precision_cell(r, r.precision.polymorphic_call_sites),
+    );
     section("Reachable methods (lower is better):", &|r| {
         table::precision_cell(r, r.precision.reachable_methods)
     });

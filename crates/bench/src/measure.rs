@@ -68,7 +68,10 @@ impl MeasuredRun {
 }
 
 fn config(budget: u64) -> SolverConfig {
-    SolverConfig { budget: Budget::derivations(budget), ..SolverConfig::default() }
+    SolverConfig {
+        budget: Budget::derivations(budget),
+        ..SolverConfig::default()
+    }
 }
 
 /// Runs one analysis variant of `program` under the derivation budget.
@@ -156,8 +159,14 @@ mod tests {
         let p = dacapo::antlr().build();
         assert_eq!(AnalysisVariant::Insens.name(&p), "insens");
         assert_eq!(AnalysisVariant::Base(Flavor::OBJ2H).name(&p), "2objH");
-        assert_eq!(AnalysisVariant::IntroA(Flavor::OBJ2H).name(&p), "2objH-IntroA");
-        assert_eq!(AnalysisVariant::IntroB(Flavor::CALL2H).name(&p), "2callH-IntroB");
+        assert_eq!(
+            AnalysisVariant::IntroA(Flavor::OBJ2H).name(&p),
+            "2objH-IntroA"
+        );
+        assert_eq!(
+            AnalysisVariant::IntroB(Flavor::CALL2H).name(&p),
+            "2callH-IntroB"
+        );
     }
 
     #[test]
@@ -165,7 +174,14 @@ mod tests {
         let p = dacapo::lusearch().build();
         let h = ClassHierarchy::new(&p);
         let insens = insens_pass(&p, &h, STANDARD_BUDGET);
-        let row = run_variant("lusearch", &p, &h, AnalysisVariant::Insens, STANDARD_BUDGET, &insens);
+        let row = run_variant(
+            "lusearch",
+            &p,
+            &h,
+            AnalysisVariant::Insens,
+            STANDARD_BUDGET,
+            &insens,
+        );
         assert!(row.complete());
         assert!(row.derivations > 0);
         let row = run_variant(

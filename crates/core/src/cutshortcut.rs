@@ -14,7 +14,7 @@
 //! This module is the deterministic pre-analysis: it builds the static
 //! pointer flow graph ([`rudoop_ir::FlowGraph`]), classifies methods
 //! against three syntactic patterns, and emits a [`CutSummary`] that the
-//! solver (sequential and sharded) consumes at call-edge time:
+//! solver consumes at call-edge time:
 //!
 //! - **identity parameter**: the parameter flows *only* into the method's
 //!   return through copies — cut the `arg → param` edge and shortcut
@@ -93,6 +93,23 @@ impl CutStats {
     pub fn cut_points(&self) -> usize {
         self.identity_params + self.setter_params + self.getter_returns
     }
+
+    /// Appends the pass's deterministic counters (pure functions of the
+    /// program) to the counter stream; `None` records nothing.
+    pub fn record(&self, telemetry: &TelemetryHandle) {
+        let Some(tele) = telemetry.as_deref() else {
+            return;
+        };
+        tele.counter("cutshortcut.identity_params", self.identity_params as u64);
+        tele.counter("cutshortcut.setter_params", self.setter_params as u64);
+        tele.counter("cutshortcut.getter_returns", self.getter_returns as u64);
+        tele.counter(
+            "cutshortcut.methods_with_cuts",
+            self.methods_with_cuts as u64,
+        );
+        tele.counter("cutshortcut.flow_copy_edges", self.flow_copy_edges as u64);
+        tele.counter("cutshortcut.flow_uses", self.flow_uses as u64);
+    }
 }
 
 /// The output of the cut-shortcut pre-analysis: per-method cut decisions
@@ -141,27 +158,6 @@ impl CutSummary {
             }
         }
         CutSummary { cuts, stats }
-    }
-
-    /// Like [`CutSummary::compute`], wrapped in a `cutshortcut-pass`
-    /// telemetry span with the pass's deterministic counters (all pure
-    /// functions of the program, so the counter stream stays reproducible).
-    pub fn compute_traced(program: &Program, telemetry: &TelemetryHandle) -> CutSummary {
-        let span = crate::telemetry::span_opt(telemetry, "cutshortcut-pass");
-        let summary = CutSummary::compute(program);
-        if let Some(span) = &span {
-            span.arg("cut_points", summary.stats.cut_points() as u64);
-        }
-        if let Some(tele) = telemetry.as_deref() {
-            let s = &summary.stats;
-            tele.counter("cutshortcut.identity_params", s.identity_params as u64);
-            tele.counter("cutshortcut.setter_params", s.setter_params as u64);
-            tele.counter("cutshortcut.getter_returns", s.getter_returns as u64);
-            tele.counter("cutshortcut.methods_with_cuts", s.methods_with_cuts as u64);
-            tele.counter("cutshortcut.flow_copy_edges", s.flow_copy_edges as u64);
-            tele.counter("cutshortcut.flow_uses", s.flow_uses as u64);
-        }
-        summary
     }
 
     /// The cut applied to parameter `index` of `method`, if any.

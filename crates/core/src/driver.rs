@@ -123,21 +123,25 @@ impl Flavor {
 
     /// Prepares the solver configuration for this flavor. For
     /// [`Flavor::CutShortcut`] this runs the cut-shortcut pre-analysis
-    /// (under its `cutshortcut-pass` telemetry span) and injects the
-    /// summary into [`SolverConfig::cuts`]; for [`Flavor::Summaries`] it
-    /// runs the bottom-up summary pre-analysis (under `summaries-pass`)
-    /// and injects the table into [`SolverConfig::summaries`] — unless a
-    /// warm table is already present (the daemon's warm-summary cache), in
-    /// which case the warm table is used as is. Every other flavor clears
-    /// both fields so pre-analyses never leak between rungs sharing a base
-    /// config.
+    /// (under its `cutshortcut-pass` telemetry span, then records its
+    /// counters) and injects the summary into [`SolverConfig::cuts`]; for
+    /// [`Flavor::Summaries`] it runs the bottom-up summary pre-analysis
+    /// (likewise, under `summaries-pass`) and injects the table into
+    /// [`SolverConfig::summaries`] — unless a warm table is already
+    /// present (the daemon's warm-summary cache), in which case the warm
+    /// table is used as is. Every other flavor clears both fields so
+    /// pre-analyses never leak between rungs sharing a base config.
     pub fn prepare_config(self, program: &Program, config: &SolverConfig) -> SolverConfig {
         let mut config = config.clone();
+        let tele = &config.telemetry;
         config.cuts = match self {
-            Flavor::CutShortcut => Some(Arc::new(CutSummary::compute_traced(
-                program,
-                &config.telemetry,
-            ))),
+            Flavor::CutShortcut => {
+                let span = crate::telemetry::span_opt(tele, "cutshortcut-pass");
+                let cuts = CutSummary::compute(program);
+                drop(span);
+                cuts.stats.record(tele);
+                Some(Arc::new(cuts))
+            }
             _ => None,
         };
         config.summaries = match self {
@@ -145,12 +149,11 @@ impl Flavor {
                 Some(warm) => Some(warm),
                 None => {
                     let hierarchy = ClassHierarchy::new(program);
-                    Some(Arc::new(SummaryTable::compute_traced(
-                        program,
-                        &hierarchy,
-                        config.parallelism.thread_count(),
-                        &config.telemetry,
-                    )))
+                    let span = crate::telemetry::span_opt(tele, "summaries-pass");
+                    let table = SummaryTable::compute(program, &hierarchy);
+                    drop(span);
+                    table.stats.record(tele);
+                    Some(Arc::new(table))
                 }
             },
             _ => None,

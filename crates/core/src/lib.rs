@@ -63,11 +63,9 @@ pub mod hash;
 pub mod heuristics;
 pub mod introspection;
 pub mod json;
-pub mod parallel;
 pub mod policy;
 pub mod races;
 pub mod service;
-pub mod shard;
 pub mod solver;
 pub mod stats;
 pub mod summaries;
@@ -85,7 +83,6 @@ pub use heuristics::{
     CustomHeuristic, HeuristicA, HeuristicB, Metric, RefinementHeuristic, RefinementStats,
 };
 pub use introspection::IntrospectionMetrics;
-pub use parallel::Parallelism;
 pub use policy::{
     CallSiteSensitive, ContextPolicy, CutShortcut, HybridObjectSensitive, Insensitive,
     Introspective, ObjectSensitive, RefinementSet, Summaries, TypeSensitive,

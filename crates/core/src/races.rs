@@ -51,9 +51,10 @@ use rudoop_ir::{
 
 use crate::context::CtxId;
 use crate::hash::{FxHashMap, FxHashSet};
+use crate::json::escape as json_string;
 use crate::solver::PointsToResult;
 use crate::supervisor::SupervisedRun;
-use crate::taint::{json_escape, CtxCanon};
+use crate::taint::CtxCanon;
 
 /// A statement position: `(method, statement index)`.
 pub type Site = (MethodId, usize);
@@ -1123,22 +1124,18 @@ pub fn render_json(program: &Program, races: &SupervisedRaces) -> String {
     match races {
         SupervisedRaces::Skipped { reason } => {
             out.push_str(&format!(
-                "  \"analysis\": null,\n  \"skipped\": \"{}\",\n  \"threads\": [],\n  \
+                "  \"analysis\": null,\n  \"skipped\": {},\n  \"threads\": [],\n  \
                  \"access_sites\": 0,\n  \"races\": [],\n  \"suspect_guards\": [],\n  \
                  \"dead_regions\": [],\n  \"escapes\": []\n",
-                json_escape(reason)
+                json_string(reason)
             ));
         }
         SupervisedRaces::Analyzed(r) => {
-            let threads: Vec<String> = r
-                .threads
-                .iter()
-                .map(|t| format!("\"{}\"", json_escape(t)))
-                .collect();
+            let threads: Vec<String> = r.threads.iter().map(|t| json_string(t)).collect();
             out.push_str(&format!(
-                "  \"analysis\": \"{}\",\n  \"skipped\": null,\n  \"threads\": [{}],\n  \
+                "  \"analysis\": {},\n  \"skipped\": null,\n  \"threads\": [{}],\n  \
                  \"access_sites\": {},\n",
-                json_escape(&r.analysis),
+                json_string(&r.analysis),
                 threads.join(","),
                 r.access_sites
             ));
@@ -1148,8 +1145,8 @@ pub fn render_json(program: &Program, races: &SupervisedRaces) -> String {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "\n    {{\"location\":\"{}\",\"a\":{},\"b\":{}}}",
-                    json_escape(&race.location),
+                    "\n    {{\"location\":{},\"a\":{},\"b\":{}}}",
+                    json_string(&race.location),
                     access_json(program, &race.a),
                     access_json(program, &race.b)
                 ));
@@ -1165,10 +1162,10 @@ pub fn render_json(program: &Program, races: &SupervisedRaces) -> String {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "\n    {{\"method\":\"{}\",\"span\":{},\"lock_class\":\"{}\"}}",
-                    json_escape(&program.method_display(g.method)),
+                    "\n    {{\"method\":{},\"span\":{},\"lock_class\":{}}}",
+                    json_string(&program.method_display(g.method)),
                     site_span_json(program, g.method, g.index),
-                    json_escape(&program.classes[program.allocs[g.lock].class].name)
+                    json_string(&program.classes[program.allocs[g.lock].class].name)
                 ));
             }
             out.push_str(if r.suspect_guards.is_empty() {
@@ -1182,8 +1179,8 @@ pub fn render_json(program: &Program, races: &SupervisedRaces) -> String {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "\n    {{\"method\":\"{}\",\"span\":{}}}",
-                    json_escape(&program.method_display(m)),
+                    "\n    {{\"method\":{},\"span\":{}}}",
+                    json_string(&program.method_display(m)),
                     site_span_json(program, m, idx)
                 ));
             }
@@ -1198,9 +1195,9 @@ pub fn render_json(program: &Program, races: &SupervisedRaces) -> String {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "\n    {{\"alloc_class\":\"{}\",\"method\":\"{}\",\"span\":{}}}",
-                    json_escape(&program.classes[program.allocs[e.alloc].class].name),
-                    json_escape(&program.method_display(e.method)),
+                    "\n    {{\"alloc_class\":{},\"method\":{},\"span\":{}}}",
+                    json_string(&program.classes[program.allocs[e.alloc].class].name),
+                    json_string(&program.method_display(e.method)),
                     site_span_json(program, e.method, e.index)
                 ));
             }
@@ -1266,17 +1263,13 @@ pub fn render_text(races: &SupervisedRaces) -> String {
 }
 
 fn access_json(program: &Program, a: &RaceAccess) -> String {
-    let trace: Vec<String> = a
-        .trace
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
+    let trace: Vec<String> = a.trace.iter().map(|s| json_string(s)).collect();
     format!(
-        "{{\"method\":\"{}\",\"span\":{},\"kind\":\"{}\",\"thread\":\"{}\",\"trace\":[{}]}}",
-        json_escape(&program.method_display(a.method)),
+        "{{\"method\":{},\"span\":{},\"kind\":\"{}\",\"thread\":{},\"trace\":[{}]}}",
+        json_string(&program.method_display(a.method)),
         site_span_json(program, a.method, a.index),
         if a.is_write { "write" } else { "read" },
-        json_escape(&a.thread),
+        json_string(&a.thread),
         trace.join(",")
     )
 }
@@ -1588,7 +1581,7 @@ mod tests {
         assert!(json.contains("\"escapes\": []"));
     }
 
-    /// Renumbering the context tables (as a different solver engine might)
+    /// Renumbering the context tables (as a different worklist schedule might)
     /// must not change witnesses or traces: the race client canonicalizes
     /// context ids by content before anything order-sensitive.
     #[test]
@@ -1628,7 +1621,7 @@ mod tests {
         assert_eq!(a.suspect_guards, b.suspect_guards);
         assert_eq!(a.escapes, b.escapes);
         for (ra, rb) in a.races.iter().zip(&b.races) {
-            assert_eq!(ra.a.trace, rb.a.trace, "traces must be engine-invariant");
+            assert_eq!(ra.a.trace, rb.a.trace, "traces must ignore context ids");
             assert_eq!(ra.b.trace, rb.b.trace);
         }
     }

@@ -7,12 +7,12 @@
 //! ```text
 //! spec  ::= name [ "=" value ] [ "@req=" K ]
 //! name  ::= "drop-after-bytes" | "stall-ms" | "garbage-frame"
-//!         | "cancel-mid-rung"
+//!         | "cancel-mid-rung" | "hold"
 //! ```
 //!
 //! where `@req=K` pins the fault to the K-th decoded query (1-based,
 //! global arrival order; shed requests consume ordinals too). Faults
-//! without `@req=` apply to every request. The four faults:
+//! without `@req=` apply to every request. The five faults:
 //!
 //! - `drop-after-bytes=N[@req=K]` — write only the first `N` bytes of
 //!   the response frame, then shut the socket down (a truncated
@@ -25,7 +25,15 @@
 //!   must treat it as a decode error and retry),
 //! - `cancel-mid-rung@req=K` — cancel the request's token shortly after
 //!   the analysis starts (a client disconnect mid-rung; the supervisor
-//!   must salvage partial facts).
+//!   must salvage partial facts),
+//! - `hold@req=K` — park the request *after* its analysis, still holding
+//!   its admission slot, on the service's [`HoldLatch`] until an
+//!   in-process caller releases it (or the server shuts down). Unlike a
+//!   stall, the slot stays occupied for exactly as long as the caller
+//!   needs, so overload scenarios do not depend on timing.
+
+use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use rudoop_ir::rng::SplitMix64;
 
@@ -40,6 +48,9 @@ pub enum FaultKind {
     GarbageFrame,
     /// Cancel the request token shortly after the analysis starts.
     CancelMidRung,
+    /// Park after the analysis, holding the admission slot, until the
+    /// [`HoldLatch`] is released.
+    Hold,
 }
 
 /// One parsed `--inject` spec.
@@ -97,10 +108,16 @@ impl FaultPlan {
                 }
                 FaultKind::CancelMidRung
             }
+            "hold" => {
+                if value.is_some() {
+                    return Err(format!("hold takes no value in {spec:?}"));
+                }
+                FaultKind::Hold
+            }
             other => {
                 return Err(format!(
                     "unknown fault {other:?} in {spec:?} (want drop-after-bytes, \
-                     stall-ms, garbage-frame, or cancel-mid-rung)"
+                     stall-ms, garbage-frame, cancel-mid-rung, or hold)"
                 ));
             }
         };
@@ -154,6 +171,62 @@ impl FaultPlan {
         self.targeting(req)
             .any(|s| s.kind == FaultKind::CancelMidRung)
     }
+
+    /// Whether request `req` parks on the hold latch after its analysis.
+    pub fn hold(&self, req: u64) -> bool {
+        self.targeting(req).any(|s| s.kind == FaultKind::Hold)
+    }
+}
+
+/// The latch `hold` faults park on. Requests park until [`release`]
+/// (which also lets every later `hold` request pass straight through).
+///
+/// [`release`]: HoldLatch::release
+#[derive(Debug, Default)]
+pub struct HoldLatch {
+    /// `(requests parked so far, released)`.
+    state: Mutex<(usize, bool)>,
+    changed: Condvar,
+}
+
+impl HoldLatch {
+    fn lock(&self) -> std::sync::MutexGuard<'_, (usize, bool)> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Parks the calling request until the latch is released.
+    pub fn park(&self) {
+        let mut state = self.lock();
+        state.0 += 1;
+        self.changed.notify_all();
+        while !state.1 {
+            state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Waits until at least one request has parked; `false` on timeout.
+    pub fn wait_parked(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.lock();
+        while state.0 == 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            state = self
+                .changed
+                .wait_timeout(state, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        true
+    }
+
+    /// Releases every parked request, now and from here on.
+    pub fn release(&self) {
+        self.lock().1 = true;
+        self.changed.notify_all();
+    }
 }
 
 /// The garbage payload for `garbage-frame@req=K`: 64 bytes derived from
@@ -200,12 +273,20 @@ mod tests {
                 req: Some(1)
             }
         );
+        assert_eq!(
+            FaultPlan::parse_one("hold@req=4").unwrap(),
+            FaultSpec {
+                kind: FaultKind::Hold,
+                req: Some(4)
+            }
+        );
         for bad in [
             "explode",
             "stall-ms",
             "stall-ms=abc",
             "garbage-frame=1",
             "cancel-mid-rung=5",
+            "hold=1",
             "stall-ms=5@req=0",
             "stall-ms=5@req=x",
         ] {
@@ -225,6 +306,22 @@ mod tests {
         assert_eq!(plan.drop_after_bytes(1), Some(4));
         assert_eq!(plan.drop_after_bytes(7), Some(4));
         assert!(!plan.garbage_frame(2));
+    }
+
+    #[test]
+    fn hold_latch_parks_until_released() {
+        let latch = std::sync::Arc::new(HoldLatch::default());
+        assert!(!latch.wait_parked(Duration::from_millis(1)));
+        let parked = {
+            let latch = std::sync::Arc::clone(&latch);
+            std::thread::spawn(move || latch.park())
+        };
+        assert!(latch.wait_parked(Duration::from_secs(60)));
+        assert!(!parked.is_finished());
+        latch.release();
+        parked.join().unwrap();
+        // Released for good: later holds pass straight through.
+        latch.park();
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod protocol;
 pub mod server;
 
 use admission::Admission;
-use faults::FaultPlan;
+use faults::{FaultPlan, HoldLatch};
 use protocol::{DocFormat, QueryRequest, Response};
 
 /// Everything the daemon decides once at startup.
@@ -69,8 +69,6 @@ pub struct ServiceConfig {
     /// Assign-cast filtering for every request (a per-daemon choice: it
     /// changes the warm first pass).
     pub filter_casts: bool,
-    /// Solver thread count per request.
-    pub parallelism: crate::parallel::Parallelism,
     /// Taint specification; `taint` queries error without one.
     pub taint_spec: Option<TaintSpec>,
     /// The deterministic fault-injection plan (empty in production).
@@ -90,7 +88,6 @@ impl Default for ServiceConfig {
             flavor: Flavor::OBJ2H,
             ladder: None,
             filter_casts: false,
-            parallelism: crate::parallel::Parallelism::sequential(),
             taint_spec: None,
             faults: FaultPlan::default(),
             telemetry: None,
@@ -174,6 +171,7 @@ pub struct ServiceState {
     handlers: HashMap<String, Box<dyn QueryHandler>>,
     admission: Admission,
     ordinal: AtomicU64,
+    hold: HoldLatch,
 }
 
 /// What one executed query produced: the wire response plus the ladder
@@ -197,7 +195,6 @@ impl ServiceState {
         let hierarchy = ClassHierarchy::new(&program);
         let warm_cfg = SolverConfig {
             filter_casts: config.filter_casts,
-            parallelism: config.parallelism,
             ..SolverConfig::default()
         };
         let warm = analyze(&program, &hierarchy, &Insensitive, &warm_cfg);
@@ -213,12 +210,19 @@ impl ServiceState {
             handlers: HashMap::new(),
             admission,
             ordinal: AtomicU64::new(0),
+            hold: HoldLatch::default(),
         }
     }
 
     /// The admission gate.
     pub fn admission(&self) -> &Admission {
         &self.admission
+    }
+
+    /// The latch `hold@req=K` faults park on; released by the caller
+    /// driving the scenario, and at shutdown.
+    pub fn hold_latch(&self) -> &HoldLatch {
+        &self.hold
     }
 
     /// Registers an extension query handler for `kind` (e.g. `lints`).
@@ -314,7 +318,6 @@ impl ServiceState {
             budget,
             solver: SolverConfig {
                 filter_casts: self.config.filter_casts,
-                parallelism: self.config.parallelism,
                 cancel: Some(cancel),
                 // The taint and race clients walk per-context points-to
                 // facts — mirror the batch CLI's record_contexts switch

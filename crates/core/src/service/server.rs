@@ -26,8 +26,8 @@ use super::protocol::{self, FrameError, Request, Response, MAX_REQUEST_FRAME};
 use super::{faults, ServiceState};
 use crate::solver::CancelToken;
 
-/// Trace lanes below this are the analysis engine's (coordinator +
-/// shards); per-connection service lanes start here.
+/// Trace lanes below this are the analysis engine's; per-connection
+/// service lanes start here.
 const SERVICE_LANE_BASE: u32 = 1000;
 
 /// How often blocked reads and the accept loop re-check shutdown.
@@ -101,6 +101,8 @@ impl Server {
             // does not accumulate handles.
             conns.retain(|h| !h.is_finished());
         }
+        // A request parked by a `hold` fault would block its join.
+        self.state.hold_latch().release();
         for handle in conns {
             let _ = handle.join();
         }
@@ -420,6 +422,10 @@ fn serve_connection(
 
                 let rung_start = tele.as_deref().map(|t| t.now_us());
                 let executed = state.execute(&query, token);
+                // Hold fault: park after the work, still holding the slot.
+                if faults.hold(req) {
+                    state.hold_latch().park();
+                }
                 drop(guard);
                 if executed.degraded {
                     state

@@ -299,9 +299,6 @@ pub struct SolverConfig {
     /// summary atoms — the [`crate::summaries`] engine. `None` (the
     /// default) analyzes every return edge as written.
     pub summaries: Option<Arc<crate::summaries::SummaryTable>>,
-    /// Thread count (default: sequential). More than one thread runs the
-    /// byte-identical sharded engine in [`crate::parallel`].
-    pub parallelism: crate::parallel::Parallelism,
     /// Optional telemetry recorder. Instrumentation never feeds back into
     /// the analysis: results are byte-identical with and without it.
     pub telemetry: crate::telemetry::TelemetryHandle,
@@ -344,10 +341,9 @@ const BYTES_PER_CTX: u64 = 96;
 const BYTES_PER_REACHABLE: u64 = 16;
 
 /// The modeled memory footprint given the live counters of a run. Shared
-/// between [`SolverStats::bytes_estimate`], the solver's in-loop budget
-/// check, and the parallel engine's barrier check so the three always
-/// agree.
-pub(crate) fn model_bytes(
+/// between [`SolverStats::bytes_estimate`] and the solver's in-loop budget
+/// check so the two always agree.
+fn model_bytes(
     nodes: u64,
     edges: u64,
     derivations: u64,
@@ -455,16 +451,6 @@ pub struct PointsToResult {
     pub tables: CtxTables,
     /// Raw context-sensitive tuples, when requested.
     pub cs_dump: Option<CsDump>,
-    /// Per-shard tuple-insertion counts when the sharded engine ran
-    /// (`None` for sequential runs and for parallel runs that fell back to
-    /// a sequential replay). Feeds the work-imbalance column of
-    /// [`crate::stats::render_supervised`].
-    pub shard_work: Option<Vec<u64>>,
-    /// Per-epoch per-shard tuple-insertion deltas from the sharded engine
-    /// (outer index: epoch; inner: shard). The imbalance column reports
-    /// the *max over epochs* of each epoch's skew so a lopsided epoch
-    /// cannot hide inside a balanced cumulative total.
-    pub epoch_shard_work: Option<Vec<Vec<u64>>>,
 }
 
 impl PointsToResult {
@@ -496,31 +482,21 @@ enum NodeKind {
 /// Runs the analysis of `program` under `policy`.
 ///
 /// This is the crate's main entry point for a single pass; the two-pass
-/// introspective flow lives in [`crate::driver`]. With
-/// [`SolverConfig::parallelism`] above one thread the byte-identical
-/// sharded engine ([`crate::parallel`]) runs instead of the sequential
-/// worklist.
+/// introspective flow lives in [`crate::driver`].
 pub fn analyze(
     program: &Program,
     hierarchy: &ClassHierarchy,
     policy: &dyn ContextPolicy,
     config: &SolverConfig,
 ) -> PointsToResult {
-    let result = if config.parallelism.is_parallel() {
-        crate::parallel::analyze_parallel(program, hierarchy, policy, config)
-    } else {
-        Solver::new(program, hierarchy, policy, config.clone()).run()
-    };
+    let result = Solver::new(program, hierarchy, policy, config.clone()).run();
     record_run_counters(&config.telemetry, &result);
     result
 }
 
 /// Records the deterministic post-run counter block for a finished
-/// analysis. Called once per [`analyze`], *after* engine selection, so the
-/// counter stream is byte-identical no matter which engine ran: every
-/// value is derived from the final result, which the sharded engine
-/// reproduces exactly (completing, or replaying deterministic exhaustion
-/// sequentially).
+/// analysis. Called once per [`analyze`]; every value is derived from the
+/// final result, so the counter stream is byte-identical across runs.
 fn record_run_counters(tele: &crate::telemetry::TelemetryHandle, result: &PointsToResult) {
     let Some(tele) = tele.as_deref() else { return };
     let name = &result.analysis;
@@ -541,17 +517,6 @@ fn record_run_counters(tele: &crate::telemetry::TelemetryHandle, result: &Points
         Outcome::CapacityExceeded => 2,
     };
     tele.counter(&format!("{name}.outcome"), outcome);
-}
-
-/// The sequential worklist solver, unconditionally — the parallel engine's
-/// replay path calls this to reproduce exact budget-exhaustion states.
-pub(crate) fn analyze_sequential(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    policy: &dyn ContextPolicy,
-    config: &SolverConfig,
-) -> PointsToResult {
-    Solver::new(program, hierarchy, policy, config.clone()).run()
 }
 
 struct Solver<'p> {
@@ -1094,9 +1059,8 @@ impl<'p> Solver<'p> {
             self.exhausted = Some(err.cause());
         }
         if let Some(tele) = tele.as_deref() {
-            // Engine metric: sequential worklist drains. Not in the counter
-            // stream — the sharded engine batches the worklist differently,
-            // so drain counts are topology-dependent.
+            // Engine metric: worklist drains. Not in the counter stream,
+            // which holds only values derived from the final result.
             tele.metric("seq.worklist_drains", self.drains);
         }
         let result = self.finish();
@@ -1290,8 +1254,6 @@ impl<'p> Solver<'p> {
             reachable_methods,
             tables: self.tables,
             cs_dump: dump,
-            shard_work: None,
-            epoch_shard_work: None,
         }
     }
 }

@@ -143,21 +143,6 @@ impl ResultStats {
     }
 }
 
-/// Busiest shard's work relative to the per-shard mean; `1.0` for empty or
-/// all-idle slices.
-fn shard_imbalance(work: &[u64]) -> f64 {
-    if work.is_empty() {
-        return 1.0;
-    }
-    let max = *work.iter().max().expect("non-empty");
-    let mean = work.iter().sum::<u64>() as f64 / work.len() as f64;
-    if mean > 0.0 {
-        max as f64 / mean
-    } else {
-        1.0
-    }
-}
-
 /// Renders the attempt history of a supervised run as a ladder table —
 /// one line per rung with its outcome, stop cause, work counters, and
 /// salvage summary — followed by the verdict line the CLI prints.
@@ -175,33 +160,9 @@ pub fn render_supervised(run: &SupervisedRun) -> String {
             None => "complete".to_owned(),
             Some(cause) => format!("stopped: {cause}"),
         };
-        // Sharded rungs get an imbalance column: the worst epoch's ratio of
-        // busiest-shard derivations to the per-shard mean (1.00x = a
-        // perfectly balanced partition). Whole-run totals average out
-        // transient skew, so the column reports the max over epochs; the
-        // per-epoch series itself is available through telemetry. Runs
-        // recorded before per-epoch tracking fall back to the cumulative
-        // ratio.
-        let imbalance = match (&a.epoch_shard_work, &a.shard_work) {
-            (Some(epochs), Some(work)) if !work.is_empty() => {
-                let worst = epochs
-                    .iter()
-                    .map(|e| shard_imbalance(e))
-                    .fold(1.0f64, f64::max);
-                format!("  threads={} imbalance={worst:.2}x", work.len())
-            }
-            (None, Some(work)) if !work.is_empty() => {
-                format!(
-                    "  threads={} imbalance={:.2}x",
-                    work.len(),
-                    shard_imbalance(work)
-                )
-            }
-            _ => String::new(),
-        };
         let _ = writeln!(
             out,
-            "{marker} [{i}] {:<18} {:<28} derivations={:<10} bytes~{:<12} salvaged: {} vars / {} calls / {} methods{imbalance}",
+            "{marker} [{i}] {:<18} {:<28} derivations={:<10} bytes~{:<12} salvaged: {} vars / {} calls / {} methods",
             a.rung.spec(),
             status,
             a.stats.derivations,

@@ -34,7 +34,6 @@ use rudoop_ir::{ClassHierarchy, Program};
 
 use crate::driver::{analyze_flavor, analyze_introspective_from, Flavor};
 use crate::heuristics::{HeuristicA, HeuristicB, RefinementHeuristic};
-use crate::parallel::Parallelism;
 use crate::policy::Insensitive;
 use crate::solver::{
     analyze, Budget, CancelToken, ExhaustionCause, Outcome, PointsToResult, SolverConfig,
@@ -94,18 +93,11 @@ pub enum RungKind {
     },
 }
 
-/// One rung of the degradation ladder: an analysis shape plus optional
-/// per-rung overrides (currently the worker-thread count).
+/// One rung of the degradation ladder.
 #[derive(Debug, Clone, Copy)]
 pub struct RungSpec {
     /// Which analysis the rung runs.
     pub kind: RungKind,
-    /// Worker threads for this rung; `None` inherits the supervisor's
-    /// [`SolverConfig::parallelism`]. Spelled `@tN` in spec strings
-    /// (`2objH@t4`). Results are byte-identical at any thread count, so
-    /// this only trades wall-clock for cores — e.g. run the expensive
-    /// first rung wide and the cheap fallback rungs sequentially.
-    pub threads: Option<usize>,
 }
 
 impl RungSpec {
@@ -113,7 +105,6 @@ impl RungSpec {
     pub fn direct(flavor: Flavor) -> RungSpec {
         RungSpec {
             kind: RungKind::Direct(flavor),
-            threads: None,
         }
     }
 
@@ -121,84 +112,26 @@ impl RungSpec {
     pub fn introspective(flavor: Flavor, heuristic: HeuristicChoice) -> RungSpec {
         RungSpec {
             kind: RungKind::Introspective { flavor, heuristic },
-            threads: None,
         }
     }
 
-    /// This rung with a worker-thread override.
-    pub fn with_threads(mut self, threads: usize) -> RungSpec {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// The program-independent spec string (`2objH`, `introB:2objH`,
-    /// `2objH@t4`, …), accepted back by [`RungSpec::parse`].
+    /// The program-independent spec string (`2objH`, `introB:2objH`, …),
+    /// accepted back by [`RungSpec::parse`].
     pub fn spec(&self) -> String {
-        let base = match &self.kind {
+        match &self.kind {
             RungKind::Direct(f) => f.spec_name(),
             RungKind::Introspective { flavor, heuristic } => {
                 format!("intro{}:{}", heuristic.letter(), flavor.spec_name())
             }
-        };
-        match self.threads {
-            Some(n) => format!("{base}@t{n}"),
-            None => base,
         }
     }
 
     /// Parses one rung: a flavor name (`2objH`, `insens`) or an
-    /// introspective rung `introA:<flavor>` / `introspectiveB:<flavor>`,
-    /// optionally suffixed with a thread override `@tN`.
-    ///
-    /// At most one `@tN` suffix is allowed. A duplicate (`2objH@t4@t4`) or
-    /// conflicting (`2objH@t4@t8`) override is rejected with an error
-    /// naming the character span of both suffixes — never resolved
-    /// last-wins, which would silently mask a typo in a ladder spec.
+    /// introspective rung `introA:<flavor>` / `introspectiveB:<flavor>`.
     pub fn parse(s: &str) -> Result<RungSpec, String> {
-        let mut parts = s.split('@');
-        let base = parts.next().unwrap_or("");
-        let mut threads: Option<usize> = None;
-        // Span of the accepted `@tN` suffix, for duplicate diagnostics.
-        let mut accepted_span: Option<(usize, usize)> = None;
-        let mut at = base.len();
-        for suffix in parts {
-            let span = (at, at + 1 + suffix.len());
-            at = span.1;
-            let n = suffix
-                .strip_prefix('t')
-                .and_then(|n| n.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| {
-                    format!(
-                        "malformed thread override \"@{suffix}\" at chars {}..{} in rung {s:?} \
-                         (want @tN)",
-                        span.0, span.1
-                    )
-                })?;
-            match (threads, accepted_span) {
-                (Some(prev), Some(prev_span)) if prev == n => {
-                    return Err(format!(
-                        "duplicate thread override \"@t{n}\" at chars {}..{} in rung {s:?} \
-                         (already set at chars {}..{})",
-                        span.0, span.1, prev_span.0, prev_span.1
-                    ));
-                }
-                (Some(prev), Some(prev_span)) => {
-                    return Err(format!(
-                        "conflicting thread override \"@t{n}\" at chars {}..{} in rung {s:?} \
-                         (conflicts with \"@t{prev}\" at chars {}..{})",
-                        span.0, span.1, prev_span.0, prev_span.1
-                    ));
-                }
-                _ => {
-                    threads = Some(n);
-                    accepted_span = Some(span);
-                }
-            }
-        }
-        let intro = base
+        let intro = s
             .strip_prefix("introspective")
-            .or_else(|| base.strip_prefix("intro"));
+            .or_else(|| s.strip_prefix("intro"));
         let kind = if let Some(rest) = intro {
             let (letter, flavor) = rest.split_once(':').ok_or_else(|| {
                 format!("malformed introspective rung {s:?} (want introA:FLAVOR)")
@@ -215,11 +148,11 @@ impl RungSpec {
             let flavor = Flavor::parse(flavor).map_err(|e| format!("{e} in rung {s:?}"))?;
             RungKind::Introspective { flavor, heuristic }
         } else {
-            Flavor::parse(base)
+            Flavor::parse(s)
                 .map(RungKind::Direct)
                 .map_err(|e| format!("{e} in rung {s:?} (flavor name or introA:FLAVOR)"))?
         };
-        Ok(RungSpec { kind, threads })
+        Ok(RungSpec { kind })
     }
 }
 
@@ -293,18 +226,11 @@ impl LadderSpec {
         }
         if rungs.len() == 1 {
             if let RungKind::Introspective { flavor, .. } = rungs[0].kind {
-                // The thread override of the lone rung carries over to the
-                // expanded ladder.
-                let threads = rungs[0].threads;
-                let with = |r: RungSpec| match threads {
-                    Some(n) => r.with_threads(n),
-                    None => r,
-                };
                 return Ok(LadderSpec {
                     rungs: vec![
-                        with(RungSpec::direct(flavor)),
+                        RungSpec::direct(flavor),
                         rungs[0],
-                        with(RungSpec::direct(Flavor::Insensitive)),
+                        RungSpec::direct(Flavor::Insensitive),
                     ],
                 });
             }
@@ -420,13 +346,6 @@ pub struct RungReport {
     /// Whether this rung computed the shared insensitive first pass (at
     /// most one rung per supervised run does).
     pub ran_first_pass: bool,
-    /// Per-shard derivation counts when the rung ran on the sharded
-    /// engine (see [`PointsToResult::shard_work`]).
-    pub shard_work: Option<Vec<u64>>,
-    /// Per-epoch per-shard derivation deltas when the rung ran on the
-    /// sharded engine (see [`PointsToResult::epoch_shard_work`]); feeds
-    /// the max-over-epochs imbalance column.
-    pub epoch_shard_work: Option<Vec<Vec<u64>>>,
 }
 
 /// The overall outcome of a supervised run, and the CLI exit-code
@@ -649,10 +568,6 @@ pub fn supervise(
             budget: cfg.budget,
             cancel: Some(rung_token.clone()),
             summaries: warm_summaries,
-            parallelism: rung
-                .threads
-                .map(Parallelism::threads)
-                .unwrap_or(cfg.solver.parallelism),
             ..cfg.solver.clone()
         };
         let needs_watchdog =
@@ -738,8 +653,6 @@ pub fn supervise(
                             ),
                             selection_time: None,
                             ran_first_pass,
-                            shard_work: None,
-                            epoch_shard_work: None,
                         });
                         continue;
                     }
@@ -756,8 +669,6 @@ pub fn supervise(
             salvaged: SalvagedFacts::of(&result),
             selection_time,
             ran_first_pass,
-            shard_work: result.shard_work.clone(),
-            epoch_shard_work: result.epoch_shard_work.clone(),
         };
         let is_complete = result.outcome.is_complete();
         attempts.push(report);

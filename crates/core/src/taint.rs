@@ -35,6 +35,7 @@ use rudoop_ir::{
 
 use crate::context::{CtxId, CtxTables, HCtxId};
 use crate::hash::{FxHashMap, FxHashSet};
+use crate::json::escape as json_string;
 use crate::solver::{CsDump, PointsToResult};
 use crate::supervisor::SupervisedRun;
 
@@ -237,7 +238,7 @@ pub fn analyze_taint(
 /// span with a nested `taint-bfs` span covering the per-label searches, and
 /// the propagation-graph shape plus the leak/sanitizer tallies land in the
 /// deterministic counter stream (all are computed from canonicalized ids,
-/// so they are engine- and thread-count-invariant). Passing `&None` is
+/// so they do not depend on the solver's interning order). Passing `&None` is
 /// equivalent to the untraced entry point.
 pub fn analyze_taint_traced(
     program: &Program,
@@ -606,16 +607,16 @@ pub fn render_json(program: &Program, taint: &SupervisedTaint) -> String {
     match taint {
         SupervisedTaint::Skipped { reason } => {
             out.push_str(&format!(
-                "  \"analysis\": null,\n  \"skipped\": \"{}\",\n  \"source_sites\": 0,\n  \
+                "  \"analysis\": null,\n  \"skipped\": {},\n  \"source_sites\": 0,\n  \
                  \"sink_sites\": 0,\n  \"leaks\": [],\n  \"sanitizers\": []\n",
-                json_escape(reason)
+                json_string(reason)
             ));
         }
         SupervisedTaint::Analyzed(t) => {
             out.push_str(&format!(
-                "  \"analysis\": \"{}\",\n  \"skipped\": null,\n  \"source_sites\": {},\n  \
+                "  \"analysis\": {},\n  \"skipped\": null,\n  \"source_sites\": {},\n  \
                  \"sink_sites\": {},\n",
-                json_escape(&t.analysis),
+                json_string(&t.analysis),
                 t.source_sites,
                 t.sink_sites
             ));
@@ -624,18 +625,14 @@ pub fn render_json(program: &Program, taint: &SupervisedTaint) -> String {
                 if i > 0 {
                     out.push(',');
                 }
-                let trace: Vec<String> = leak
-                    .trace
-                    .iter()
-                    .map(|s| format!("\"{}\"", json_escape(s)))
-                    .collect();
+                let trace: Vec<String> = leak.trace.iter().map(|s| json_string(s)).collect();
                 out.push_str(&format!(
-                    "\n    {{\"source\":\"{}\",\"source_span\":{},\"sink\":\"{}\",\
+                    "\n    {{\"source\":{},\"source_span\":{},\"sink\":{},\
                      \"sink_span\":{},\"sink_arg\":{},\"sanitized_source\":{},\
                      \"heap_steps\":{},\"merged_heap_step\":{},\"trace\":[{}]}}",
-                    json_escape(&program.method_display(leak.source_method)),
+                    json_string(&program.method_display(leak.source_method)),
                     invoke_span_json(program, leak.source),
-                    json_escape(&program.method_display(leak.sink_method)),
+                    json_string(&program.method_display(leak.sink_method)),
                     invoke_span_json(program, leak.sink),
                     leak.sink_arg,
                     t.source_sanitized(leak.source),
@@ -656,8 +653,8 @@ pub fn render_json(program: &Program, taint: &SupervisedTaint) -> String {
                 }
                 let caller = program.invokes[invo].method;
                 out.push_str(&format!(
-                    "\n    {{\"caller\":\"{}\",\"span\":{},\"witnessed_taint\":{}}}",
-                    json_escape(&program.method_display(caller)),
+                    "\n    {{\"caller\":{},\"span\":{},\"witnessed_taint\":{}}}",
+                    json_string(&program.method_display(caller)),
                     invoke_span_json(program, invo),
                     hit
                 ));
@@ -729,32 +726,17 @@ pub(crate) fn invoke_span_json(program: &Program, invo: InvokeId) -> String {
     "null".to_owned()
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Content-based renumbering of the context ids used by a dump.
 ///
-/// The sharded engine reaches the same fixpoint as the sequential solver
-/// but may intern contexts in a different order, so raw [`CtxId`] /
-/// [`HCtxId`] values are not stable across engines. Everything
-/// order-sensitive in taint — sorting the dump, graph node interning, BFS
-/// tie-breaks when several shortest traces exist — runs on canonical ids:
-/// contexts ranked by their element sequences, which *are* engine-
-/// invariant. Original ids survive only for rendering trace lines.
+/// Raw [`CtxId`] / [`HCtxId`] values are handed out in interning order,
+/// which follows the solver's worklist schedule rather than the fixpoint
+/// it reaches. Everything order-sensitive in taint — sorting the dump,
+/// graph node interning, BFS tie-breaks when several shortest traces
+/// exist — runs on canonical ids: contexts ranked by their element
+/// sequences, which depend on the fixpoint alone. A change to the
+/// solver's schedule therefore cannot move taint's output, which the
+/// golden taint documents pin byte for byte. Original ids survive only
+/// for rendering trace lines.
 pub(crate) struct CtxCanon {
     ctx_rank: FxHashMap<CtxId, CtxId>,
     hctx_rank: FxHashMap<HCtxId, HCtxId>,
@@ -952,7 +934,7 @@ mod tests {
         assert!(json.contains("\"leaks\": []"));
     }
 
-    /// Renumbering the context tables (as a different solver engine might)
+    /// Renumbering the context tables (as a different worklist schedule might)
     /// must not change leaks, traces, or sanitizer observations: taint
     /// canonicalizes context ids by content before anything order-sensitive.
     #[test]
@@ -1042,7 +1024,7 @@ mod tests {
         assert_eq!(a.leak_set(), b.leak_set());
         assert_eq!(a.sanitizer_calls, b.sanitizer_calls);
         for (la, lb) in a.leaks.iter().zip(&b.leaks) {
-            assert_eq!(la.trace, lb.trace, "traces must be engine-invariant");
+            assert_eq!(la.trace, lb.trace, "traces must ignore context ids");
             assert_eq!(la.heap_steps, lb.heap_steps);
             assert_eq!(la.merged_heap_step, lb.merged_heap_step);
         }

@@ -12,20 +12,20 @@
 //! - the **counter stream** ([`Telemetry::counter`]): values that are a
 //!   pure function of the analysed program and the configured budgets.
 //!   The stream (names, values *and order*) is byte-identical across
-//!   repeated runs and across thread counts 1–N.
+//!   repeated runs.
 //! - the **metric stream** ([`Telemetry::metric`]): deterministic
-//!   per-engine values (per-epoch shard work, messages routed, worklist
-//!   drains). Byte-identical across repeated runs *at a fixed thread
-//!   count*, but topology-dependent — an epoch does not exist at
-//!   `--threads 1`.
+//!   values describing how the engine worked rather than what it found
+//!   (worklist drains). Byte-identical across repeated runs, but free to
+//!   change whenever the engine's schedule does.
 //! - **spans and instants** ([`Telemetry::span`]): wall-clock
 //!   measurements. Never compared across runs; they exist for the human
 //!   and for Perfetto.
 //!
 //! Timestamps are microseconds since the recorder was created. Chrome
 //! trace lanes (`tid`) are: lane 0 = the coordinating thread (spans nest
-//! there via RAII guards), lane `s + 1` = shard worker `s` (whole spans
-//! recorded at epoch barriers). [`validate_chrome_trace`] is the in-tree
+//! there via RAII guards); other lanes hold whole spans recorded by
+//! [`Telemetry::complete_span`] (the daemon's per-connection lanes).
+//! [`validate_chrome_trace`] is the in-tree
 //! schema checker CI runs against emitted traces: balanced B/E events per
 //! lane, globally monotone timestamps, finite (non-NaN) numbers.
 
@@ -40,17 +40,12 @@ use crate::json::escape as json_string;
 /// The Chrome-trace lane (`tid`) of the coordinating thread.
 pub const COORDINATOR_LANE: u32 = 0;
 
-/// The Chrome-trace lane of shard worker `shard`.
-pub fn shard_lane(shard: usize) -> u32 {
-    shard as u32 + 1
-}
-
 /// A completed timed span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Phase name, e.g. `solve` or `epoch`.
+    /// Phase name, e.g. `solve` or `rung`.
     pub name: String,
-    /// Trace lane (Chrome `tid`): 0 = coordinator, `s+1` = shard `s`.
+    /// Trace lane (Chrome `tid`): 0 = coordinator.
     pub lane: u32,
     /// Start, microseconds since the recorder's origin.
     pub start_us: u64,
@@ -118,14 +113,14 @@ struct Inner {
     counters: Vec<(String, u64)>,
     metrics: Vec<(String, u64)>,
     /// Custom lane names (first registration wins); lanes without one get
-    /// the default `coordinator` / `shard-N` labels.
+    /// the default `coordinator` / `lane-N` labels.
     lane_labels: Vec<(u32, String)>,
 }
 
 /// The telemetry recorder. Cheap to share (`Arc<Telemetry>`); all
 /// recording methods take `&self`. Interior mutability is a single
-/// mutex — hot loops must not record per-derivation, only per-phase,
-/// per-epoch and per-rung (the granularity every hook in this crate
+/// mutex — hot loops must not record per-derivation, only per-phase and
+/// per-rung (the granularity every hook in this crate
 /// uses), so contention is negligible.
 #[derive(Debug)]
 pub struct Telemetry {
@@ -157,8 +152,7 @@ impl Telemetry {
         }
     }
 
-    /// Microseconds elapsed since the recorder was created. Lock-free —
-    /// safe to call from worker threads in the epoch hot path.
+    /// Microseconds elapsed since the recorder was created. Lock-free.
     pub fn now_us(&self) -> u64 {
         self.origin.elapsed().as_micros() as u64
     }
@@ -207,9 +201,8 @@ impl Telemetry {
         }
     }
 
-    /// Records a whole span on an arbitrary lane (used by the parallel
-    /// coordinator to attribute per-shard epoch work measured by the
-    /// workers themselves).
+    /// Records a whole span on an arbitrary lane (used by the service to
+    /// attribute per-connection work measured on connection threads).
     pub fn complete_span(
         &self,
         lane: u32,
@@ -249,14 +242,14 @@ impl Telemetry {
     }
 
     /// Appends to the **deterministic counter stream**: byte-identical
-    /// across repeated runs and across thread counts. Only record values
+    /// across repeated runs. Only record values
     /// that are pure functions of the program and the configured budgets.
     pub fn counter(&self, name: &str, value: u64) {
         self.lock().counters.push((name.to_owned(), value));
     }
 
-    /// Appends to the **engine metric stream**: deterministic per thread
-    /// count (reproducible across repeated runs), but topology-dependent.
+    /// Appends to the **engine metric stream**: reproducible across
+    /// repeated runs, but tied to how the engine schedules its work.
     pub fn metric(&self, name: &str, value: u64) {
         self.lock().metrics.push((name.to_owned(), value));
     }
@@ -264,7 +257,7 @@ impl Telemetry {
     /// Names a trace lane (Chrome `thread_name` metadata). The service
     /// layer uses this to label per-connection lanes `conn-N`; lanes
     /// without a registered label keep the default `coordinator` /
-    /// `shard-N` naming. First registration wins.
+    /// `lane-N` naming. First registration wins.
     pub fn set_lane_label(&self, lane: u32, label: &str) {
         let mut inner = self.lock();
         if !inner.lane_labels.iter().any(|(l, _)| *l == lane) {
@@ -307,7 +300,7 @@ impl Telemetry {
     }
 
     /// The counter stream as one `name=value` line per entry — the byte
-    /// form the determinism suite compares across runs and thread counts.
+    /// form the determinism suite compares across runs.
     pub fn counter_stream_text(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.lock().counters {
@@ -415,7 +408,7 @@ impl Telemetry {
                     if lane == COORDINATOR_LANE {
                         "coordinator".to_owned()
                     } else {
-                        format!("shard-{}", lane - 1)
+                        format!("lane-{lane}")
                     }
                 });
             push(
@@ -796,13 +789,13 @@ mod tests {
     fn counter_and_metric_streams_stay_separate() {
         let tele = Telemetry::new();
         tele.counter("solver.derivations", 42);
-        tele.metric("epoch.messages", 7);
+        tele.metric("seq.worklist_drains", 7);
         tele.counter("taint.leaks", 1);
         assert_eq!(
             tele.counter_stream_text(),
             "solver.derivations=42\ntaint.leaks=1\n"
         );
-        assert_eq!(tele.metric_stream_text(), "epoch.messages=7\n");
+        assert_eq!(tele.metric_stream_text(), "seq.worklist_drains=7\n");
     }
 
     #[test]
@@ -810,13 +803,7 @@ mod tests {
         let tele = Telemetry::new();
         {
             let _solve = tele.span("solve");
-            tele.complete_span(
-                shard_lane(0),
-                "drain",
-                1,
-                5,
-                vec![("work".into(), "9".into())],
-            );
+            tele.complete_span(1, "drain", 1, 5, vec![("work".into(), "9".into())]);
             tele.instant("degrade", vec![("rung".into(), "2objH".into())]);
             tele.sample("contexts", 123);
         }

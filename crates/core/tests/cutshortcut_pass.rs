@@ -3,8 +3,12 @@
 //! text on two seeded programs, and determinism is asserted directly —
 //! two independent runs (traced or not) must render byte-identically.
 
+use std::sync::Arc;
+
 use rudoop_core::cutshortcut::CutSummary;
+use rudoop_core::driver::Flavor;
 use rudoop_core::solver::SolverConfig;
+use rudoop_core::{Telemetry, TelemetryHandle};
 use rudoop_ir::arbitrary::{generate, ProgramShape};
 use rudoop_ir::{Program, ProgramBuilder};
 
@@ -114,12 +118,27 @@ fn pass_is_deterministic_on_seeded_programs() {
         let first = CutSummary::compute(&program).render(&program);
         let second = CutSummary::compute(&program).render(&program);
         assert_eq!(first, second, "seed {seed}: two runs disagree");
-        // The traced entry point (what the flavor driver calls) must be
-        // the same pure function, telemetry aside.
-        let cfg = SolverConfig::default();
-        let traced = CutSummary::compute_traced(&program, &cfg.telemetry).render(&program);
-        assert_eq!(first, traced, "seed {seed}: traced run disagrees");
-        if !CutSummary::compute(&program).is_empty() {
+        // The flavor driver runs the same pure function under a traced
+        // span, then records the pass's counters.
+        let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
+        let cfg = SolverConfig {
+            telemetry: tele.clone(),
+            ..SolverConfig::default()
+        };
+        let prepared = Flavor::CutShortcut.prepare_config(&program, &cfg);
+        let cuts = prepared.cuts.expect("cutshortcut injects its summary");
+        assert_eq!(
+            first,
+            cuts.render(&program),
+            "seed {seed}: traced run disagrees"
+        );
+        let t = tele.as_deref().unwrap();
+        assert!(t.spans().iter().any(|s| s.name == "cutshortcut-pass"));
+        assert!(t.counter_stream_text().contains(&format!(
+            "cutshortcut.identity_params={}\n",
+            cuts.stats.identity_params
+        )));
+        if !cuts.is_empty() {
             with_cuts += 1;
         }
     }

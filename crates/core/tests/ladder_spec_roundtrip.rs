@@ -3,9 +3,8 @@
 //! `LadderSpec::spec` documents itself as "accepted back by parse", so
 //! that contract gets a seeded property test: generated specs survive a
 //! `parse → spec` round trip byte-for-byte, and a second `parse` of the
-//! rendered form is a fixpoint. Duplicate and conflicting `@tN` thread
-//! overrides must be rejected with an error naming both character
-//! spans — never resolved last-wins, which would silently mask a typo.
+//! rendered form is a fixpoint. Malformed rungs are rejected with an
+//! error naming their character span in the ladder spec.
 
 use rudoop_core::driver::Flavor;
 use rudoop_core::supervisor::{LadderSpec, RungSpec};
@@ -23,23 +22,19 @@ const FLAVORS: [&str; 9] = [
     "S2objH",
 ];
 
-/// One random rung spec string (flavor, optional heuristic, optional
-/// thread override) in its canonical rendering.
+/// One random rung spec string (flavor, optional heuristic) in its
+/// canonical rendering.
 fn gen_rung(rng: &mut SplitMix64) -> String {
     let flavor = FLAVORS[rng.below(FLAVORS.len())];
     // The three context-free rungs never take an introspective prefix:
     // there is nothing for a heuristic to refine.
     let context_free = matches!(flavor, "insens" | "cutshortcut" | "summaries");
-    let mut spec = if !context_free && rng.ratio(1, 2) {
+    if !context_free && rng.ratio(1, 2) {
         let letter = if rng.ratio(1, 2) { 'A' } else { 'B' };
         format!("intro{letter}:{flavor}")
     } else {
         flavor.to_owned()
-    };
-    if rng.ratio(3, 10) {
-        spec.push_str(&format!("@t{}", rng.range(1, 17)));
     }
-    spec
 }
 
 #[test]
@@ -81,8 +76,8 @@ fn single_rungs_round_trip() {
 
 #[test]
 fn whitespace_and_canonical_ladders_still_parse() {
-    let parsed = LadderSpec::parse(" 2objH , introB:2objH@t4 ,insens").expect("parses");
-    assert_eq!(parsed.spec(), "2objH,introB:2objH@t4,insens");
+    let parsed = LadderSpec::parse(" 2objH , introB:2objH ,insens").expect("parses");
+    assert_eq!(parsed.spec(), "2objH,introB:2objH,insens");
     assert_eq!(
         LadderSpec::parse("default").expect("default parses").spec(),
         LadderSpec::default_for(Flavor::OBJ2H).spec()
@@ -90,110 +85,13 @@ fn whitespace_and_canonical_ladders_still_parse() {
 }
 
 #[test]
-fn duplicate_thread_override_is_a_spanned_error() {
-    let err = RungSpec::parse("2objH@t4@t4").expect_err("duplicate must not parse");
-    assert!(
-        err.contains("duplicate thread override \"@t4\" at chars 8..11"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("already set at chars 5..8"),
-        "error does not name the first suffix: {err}"
-    );
-}
-
-#[test]
-fn conflicting_thread_override_is_a_spanned_error() {
-    let err = RungSpec::parse("2objH@t4@t8").expect_err("conflict must not parse");
-    assert!(
-        err.contains("conflicting thread override \"@t8\" at chars 8..11"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("conflicts with \"@t4\" at chars 5..8"),
-        "error does not name the first suffix: {err}"
-    );
-}
-
-#[test]
-fn malformed_thread_override_is_a_spanned_error() {
-    let err = RungSpec::parse("2objH@x4").expect_err("malformed must not parse");
-    assert!(
-        err.contains("malformed thread override \"@x4\" at chars 5..8"),
-        "unexpected error: {err}"
-    );
-    let err = RungSpec::parse("2objH@t0").expect_err("zero threads must not parse");
-    assert!(err.contains("@t0"), "unexpected error: {err}");
-}
-
-#[test]
 fn ladder_errors_carry_absolute_offsets() {
-    let err = LadderSpec::parse("2objH, insens@t2@t3 ,1objH").expect_err("conflict inside");
+    let err = LadderSpec::parse("2objH, insenz ,1objH").expect_err("typo inside");
     assert!(
-        err.starts_with("rung 1 at chars 7..19 of ladder spec:"),
+        err.starts_with("rung 1 at chars 7..13 of ladder spec:"),
         "unexpected error: {err}"
     );
-    assert!(err.contains("conflicting thread override"), "{err}");
-}
-
-#[test]
-fn cutshortcut_rungs_round_trip_with_thread_overrides() {
-    let parsed = LadderSpec::parse("2objH,cutshortcut@t2,insens").expect("parses");
-    assert_eq!(parsed.spec(), "2objH,cutshortcut@t2,insens");
-    let rung = RungSpec::parse("cutshortcut").expect("bare rung parses");
-    assert_eq!(rung.spec(), "cutshortcut");
-}
-
-#[test]
-fn cutshortcut_thread_override_errors_are_spanned() {
-    let err = RungSpec::parse("cutshortcut@t2@t2").expect_err("duplicate must not parse");
-    assert!(
-        err.contains("duplicate thread override \"@t2\" at chars 14..17"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("already set at chars 11..14"),
-        "error does not name the first suffix: {err}"
-    );
-    let err = RungSpec::parse("cutshortcut@t2@t5").expect_err("conflict must not parse");
-    assert!(
-        err.contains("conflicting thread override \"@t5\" at chars 14..17"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("conflicts with \"@t2\" at chars 11..14"),
-        "error does not name the first suffix: {err}"
-    );
-}
-
-#[test]
-fn summaries_rungs_round_trip_with_thread_overrides() {
-    let parsed = LadderSpec::parse("2objH,summaries@t4,insens").expect("parses");
-    assert_eq!(parsed.spec(), "2objH,summaries@t4,insens");
-    let rung = RungSpec::parse("summaries").expect("bare rung parses");
-    assert_eq!(rung.spec(), "summaries");
-}
-
-#[test]
-fn summaries_thread_override_errors_are_spanned() {
-    let err = RungSpec::parse("summaries@t2@t2").expect_err("duplicate must not parse");
-    assert!(
-        err.contains("duplicate thread override \"@t2\" at chars 12..15"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("already set at chars 9..12"),
-        "error does not name the first suffix: {err}"
-    );
-    let err = RungSpec::parse("summaries@t2@t5").expect_err("conflict must not parse");
-    assert!(
-        err.contains("conflicting thread override \"@t5\" at chars 12..15"),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.contains("conflicts with \"@t2\" at chars 9..12"),
-        "error does not name the first suffix: {err}"
-    );
+    assert!(err.contains("unknown flavor \"insenz\""), "{err}");
 }
 
 #[test]
@@ -206,4 +104,14 @@ fn unknown_rung_flavor_error_lists_valid_names() {
         err.contains("valid flavors are insens, cutshortcut, summaries"),
         "{err}"
     );
+    // A thread suffix is not part of the rung grammar: it is read as part
+    // of the flavor name and rejected like any other typo.
+    for rung in ["2objH@t4", "introB:2objH@t4"] {
+        let err = RungSpec::parse(rung).expect_err("thread suffix must not parse");
+        assert!(err.contains("unknown flavor \"2objH@t4\""), "{err}");
+        assert!(
+            err.contains("valid flavors are insens, cutshortcut, summaries"),
+            "{err}"
+        );
+    }
 }

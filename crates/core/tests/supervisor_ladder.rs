@@ -307,7 +307,9 @@ fn pre_cancelled_token_stops_immediately() {
 
 #[test]
 fn watchdog_enforces_wall_clock_deadline() {
-    let program = hub_program(120, 400);
+    // Sized so that 2objH needs far longer than the 30ms deadline even in
+    // an optimized build (a smaller hub finishes in about 30ms there).
+    let program = hub_program(400, 2000);
     let hierarchy = ClassHierarchy::new(&program);
     let cfg = SupervisorConfig {
         ladder: LadderSpec::parse("2objH").unwrap(),

@@ -4,30 +4,28 @@
 //! `rudoop_core::telemetry`):
 //!
 //! - the **counter stream** holds only values derived from final analysis
-//!   results, so its text rendering must be *byte-identical* across thread
-//!   counts and across repeated runs;
-//! - the **metric stream** holds topology-dependent values (per-epoch work,
-//!   routed messages, worklist drains), so it must be byte-identical across
-//!   repeated runs *at a fixed thread count* but may differ between thread
-//!   counts;
+//!   results, so its text rendering must be *byte-identical* across
+//!   repeated runs;
+//! - the **metric stream** holds values describing how the engine worked
+//!   (worklist drains), which must also be byte-identical across repeated
+//!   runs;
 //! - spans, instants, and samples carry wall-clock timestamps and are never
 //!   compared.
 //!
 //! On top of that, telemetry must be *observationally inert*: a run with a
 //! recorder attached produces byte-identical results (canonical stats,
-//! projections, outcome, exit codes) to a run without one, at every thread
-//! count.
+//! projections, outcome, exit codes) to a run without one.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use rudoop_core::driver::{analyze_flavor, Flavor};
 use rudoop_core::solver::{Budget, SolverConfig};
 use rudoop_core::supervisor::{supervise, LadderSpec, SupervisorConfig};
-use rudoop_core::{Parallelism, Telemetry, TelemetryHandle};
+use rudoop_core::{Telemetry, TelemetryHandle};
 use rudoop_ir::{ClassHierarchy, Program};
 use rudoop_workloads::dacapo;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 const FLAVORS: [(Flavor, &str); 4] = [
     (Flavor::Insensitive, "insens"),
@@ -43,94 +41,68 @@ fn workloads() -> Vec<(String, Program)> {
         .collect()
 }
 
-fn traced_config(threads: usize, tele: &TelemetryHandle) -> SolverConfig {
+fn traced_config(tele: &TelemetryHandle) -> SolverConfig {
     SolverConfig {
         budget: Budget::unlimited(),
-        parallelism: Parallelism::threads(threads),
         telemetry: tele.clone(),
         ..SolverConfig::default()
     }
 }
 
 /// Runs one flavor and returns `(counter text, metric text)`.
-fn run_traced(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    flavor: Flavor,
-    threads: usize,
-) -> (String, String) {
+fn run_traced(program: &Program, hierarchy: &ClassHierarchy, flavor: Flavor) -> (String, String) {
     let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
-    let result = analyze_flavor(program, hierarchy, flavor, &traced_config(threads, &tele));
+    let result = analyze_flavor(program, hierarchy, flavor, &traced_config(&tele));
     assert!(result.outcome.is_complete());
     let t = tele.as_deref().unwrap();
     (t.counter_stream_text(), t.metric_stream_text())
 }
 
-/// Counter streams are byte-identical across threads 1/2/4/8 and across
-/// repeated runs, on three workloads × all four flavors. Metric streams
-/// are byte-identical across repeated runs at each fixed thread count.
+/// Counter and metric streams are byte-identical across repeated runs,
+/// on three workloads × all four flavors.
 #[test]
-fn counter_streams_are_thread_and_run_invariant() {
+fn counter_streams_are_run_invariant() {
     for (name, program) in workloads() {
         let hierarchy = ClassHierarchy::new(&program);
         for (flavor, label) in FLAVORS {
-            let mut reference: Option<String> = None;
-            for threads in THREADS {
-                let (counters, metrics) = run_traced(&program, &hierarchy, flavor, threads);
-                assert!(
-                    !counters.is_empty(),
-                    "{name}/{label}/t{threads}: no counters recorded"
-                );
-                match &reference {
-                    None => reference = Some(counters),
-                    Some(r) => assert_eq!(
-                        r, &counters,
-                        "{name}/{label}/t{threads}: counter stream diverged from t1"
-                    ),
-                }
-                // Repeat run: both streams must reproduce exactly.
-                let (again_c, again_m) = run_traced(&program, &hierarchy, flavor, threads);
-                assert_eq!(
-                    reference.as_deref(),
-                    Some(again_c.as_str()),
-                    "{name}/{label}/t{threads}: counters differ between repeated runs"
-                );
-                assert_eq!(
-                    metrics, again_m,
-                    "{name}/{label}/t{threads}: metrics differ between repeated runs"
-                );
-            }
+            let (counters, metrics) = run_traced(&program, &hierarchy, flavor);
+            assert!(!counters.is_empty(), "{name}/{label}: no counters recorded");
+            let (again_c, again_m) = run_traced(&program, &hierarchy, flavor);
+            assert_eq!(
+                counters, again_c,
+                "{name}/{label}: counters differ between repeated runs"
+            );
+            assert_eq!(
+                metrics, again_m,
+                "{name}/{label}: metrics differ between repeated runs"
+            );
         }
     }
 }
 
 /// Attaching a recorder never changes the analysis: canonical stats,
-/// projections, outcome — byte-identical on vs. off, at every thread count.
+/// projections, outcome — byte-identical on vs. off.
 #[test]
 fn telemetry_is_observationally_inert() {
     for (name, program) in workloads() {
         let hierarchy = ClassHierarchy::new(&program);
         for (flavor, label) in FLAVORS {
-            for threads in THREADS {
-                let plain =
-                    analyze_flavor(&program, &hierarchy, flavor, &traced_config(threads, &None));
-                let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
-                let traced =
-                    analyze_flavor(&program, &hierarchy, flavor, &traced_config(threads, &tele));
-                let tag = format!("{name}/{label}/t{threads}");
-                assert_eq!(plain.outcome, traced.outcome, "{tag}: outcome");
-                assert_eq!(
-                    plain.stats.canonical(),
-                    traced.stats.canonical(),
-                    "{tag}: canonical stats"
-                );
-                assert_eq!(plain.var_pts, traced.var_pts, "{tag}: var projections");
-                assert_eq!(
-                    plain.field_pts, traced.field_pts,
-                    "{tag}: field projections"
-                );
-                assert_eq!(plain.call_targets, traced.call_targets, "{tag}: call graph");
-            }
+            let plain = analyze_flavor(&program, &hierarchy, flavor, &traced_config(&None));
+            let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
+            let traced = analyze_flavor(&program, &hierarchy, flavor, &traced_config(&tele));
+            let tag = format!("{name}/{label}");
+            assert_eq!(plain.outcome, traced.outcome, "{tag}: outcome");
+            assert_eq!(
+                plain.stats.canonical(),
+                traced.stats.canonical(),
+                "{tag}: canonical stats"
+            );
+            assert_eq!(plain.var_pts, traced.var_pts, "{tag}: var projections");
+            assert_eq!(
+                plain.field_pts, traced.field_pts,
+                "{tag}: field projections"
+            );
+            assert_eq!(plain.call_targets, traced.call_targets, "{tag}: call graph");
         }
     }
 }
@@ -181,29 +153,22 @@ fn ladder_emits_one_rung_span_per_attempt() {
 }
 
 /// The Chrome-trace sink stays valid (balanced, monotone, finite) for a
-/// parallel multi-epoch run, and carries the per-shard drain spans.
+/// full 2objH run, and carries the solver's phases.
 #[test]
-fn parallel_run_trace_validates() {
+fn run_trace_validates() {
     let program = dacapo::pmd().build();
     let hierarchy = ClassHierarchy::new(&program);
     let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
-    let result = analyze_flavor(
-        &program,
-        &hierarchy,
-        Flavor::OBJ2H,
-        &traced_config(4, &tele),
-    );
+    let result = analyze_flavor(&program, &hierarchy, Flavor::OBJ2H, &traced_config(&tele));
     assert!(result.outcome.is_complete());
     let t = tele.as_deref().unwrap();
     let check = rudoop_core::validate_chrome_trace(&t.chrome_trace()).expect("trace validates");
-    assert!(check.span_names.contains("solve") || check.span_names.contains("parallel-solve"));
-    assert!(check.span_names.contains("epoch"), "epoch spans present");
-    assert!(check.span_names.contains("drain"), "per-shard drain spans");
-    assert!(check.samples > 0, "counter tracks present");
+    assert!(check.span_names.contains("solve"), "solve span present");
+    assert!(check.span_names.contains("project"), "project span present");
 }
 
 /// The service layer keeps the counter-stream contract: a scripted
-/// serial overload scenario — one stalled request occupying the only
+/// serial overload scenario — one held request occupying the only
 /// worker, one request shed and retried — produces a byte-identical
 /// counter stream on every run, with the `service.*` counters flushed
 /// once at shutdown in fixed order and the client's retry counter pushed
@@ -223,7 +188,7 @@ fn service_counter_stream_is_run_invariant() {
         let config = ServiceConfig {
             workers: 1,
             queue: 0,
-            faults: FaultPlan::parse(&["stall-ms=100@req=1".to_owned()]).unwrap(),
+            faults: FaultPlan::parse(&["hold@req=1".to_owned()]).unwrap(),
             telemetry: tele.clone(),
             ..ServiceConfig::default()
         };
@@ -239,27 +204,36 @@ fn service_counter_stream_is_run_invariant() {
             ..QueryRequest::default()
         });
 
-        // Occupy the only worker slot (held through the 100ms stall).
+        // Occupy the only worker slot: request 1 runs, then parks on the
+        // hold latch while still holding its slot.
         let mut blocker = std::net::TcpStream::connect(&addr).expect("connect");
         protocol::write_frame(&mut blocker, query.render().as_bytes()).unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while state.admission().occupancy().0 == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "blocker never admitted"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        assert!(
+            state.hold_latch().wait_parked(Duration::from_secs(600)),
+            "blocker never parked"
+        );
 
-        // Shed exactly once: the retry backs off 300-600ms, far past the
-        // stall, so the second attempt is deterministically accepted.
-        let policy = RetryPolicy {
-            retries: 3,
-            base_ms: 600,
-            cap_ms: 2_000,
-            seed: 11,
+        // Request 2 is shed while the slot is provably full. The latch is
+        // released only once that shed is observed, long before the
+        // retry's 300-600ms backoff ends, so request 3 is accepted.
+        let retry = {
+            let (addr, query, tele) = (addr.clone(), query.clone(), tele.clone());
+            std::thread::spawn(move || {
+                let policy = RetryPolicy {
+                    retries: 3,
+                    base_ms: 600,
+                    cap_ms: 2_000,
+                    seed: 11,
+                };
+                query_with_retry(&addr, &query, &policy, &tele)
+            })
         };
-        let outcome = query_with_retry(&addr, &query, &policy, &tele).expect("retry succeeds");
+        while state.counters.shed.load(Ordering::SeqCst) == 0 {
+            assert!(!retry.is_finished(), "retry ended before any shed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        state.hold_latch().release();
+        let outcome = retry.join().unwrap().expect("retry succeeds");
         assert_eq!(outcome.attempts, 2, "exactly one shed, one success");
 
         let payload = protocol::read_frame(&mut blocker, MAX_RESPONSE_FRAME).unwrap();

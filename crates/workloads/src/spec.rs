@@ -118,7 +118,7 @@ pub struct WorkloadSpec {
     /// depths) and the threshold-calibrated medium pool are deliberately
     /// left alone, so heuristic classifications survive scaling. `1` (the
     /// default) is the identity: builds are byte-identical to a spec
-    /// without the knob. Used to size multi-shard parallel runs (50k+ IL
+    /// without the knob. Used to size large programs (50k+ IL
     /// instructions) out of the same recipes.
     pub scale: usize,
 }

@@ -16,9 +16,6 @@
 //!   --timeout <secs>     wall-clock deadline for the backing analysis
 //!                        (watchdog-cancelled). If it fires, tier-2 lints
 //!                        are skipped and the exit code is 2.
-//!   --threads <n>        worker threads for the backing analysis
-//!                        (default 1; lint results are byte-identical at
-//!                        any thread count)
 //!   --taint-spec <file>  taint sources/sinks/sanitizers (see
 //!                        `rudoop_ir::TaintSpec` for the grammar); enables
 //!                        the T001–T004 taint lints. For @benchmarks the
@@ -61,7 +58,7 @@ use rudoop::analysis::driver::{analyze_flavor, Flavor};
 use rudoop::analysis::solver::{Budget, CancelToken, SolverConfig};
 use rudoop::analysis::taint::analyze_taint_traced;
 use rudoop::analysis::telemetry::span_opt;
-use rudoop::analysis::{Parallelism, Telemetry, TelemetryHandle};
+use rudoop::analysis::{Telemetry, TelemetryHandle};
 use rudoop::ir::{parse_program, ClassHierarchy, Program, TaintSpec};
 use rudoop::lints::diagnostics::{has_errors, render, render_json, validate_diagnostics};
 use rudoop::lints::{Level, LintContext, LintRegistry};
@@ -72,7 +69,6 @@ struct Options {
     flavor: Flavor,
     points_to: bool,
     timeout: Option<Duration>,
-    threads: usize,
     levels: Vec<(String, Level)>,
     list: bool,
     taint_spec: Option<String>,
@@ -86,7 +82,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: rudoop-lint <program.rud | @benchmark> [--analysis NAME] \
-         [--no-points-to] [--timeout SECS] [--threads N] \
+         [--no-points-to] [--timeout SECS] \
          [--taint-spec FILE|builtin] [--races] \
          [--format text|json] [--allow CODE] [--warn CODE] \
          [--deny CODE] [--list] [--trace PATH] [--profile PATH] [--telemetry]"
@@ -101,7 +97,6 @@ fn parse_args() -> Options {
         flavor: Flavor::Insensitive,
         points_to: true,
         timeout: None,
-        threads: 1,
         levels: Vec::new(),
         list: false,
         taint_spec: None,
@@ -128,14 +123,6 @@ fn parse_args() -> Options {
                     usage();
                 }
                 opts.timeout = Some(Duration::from_secs_f64(secs));
-            }
-            "--threads" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                opts.threads = n.parse().unwrap_or_else(|_| usage());
-                if opts.threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    usage();
-                }
             }
             "--allow" => {
                 let code = args.next().unwrap_or_else(|| usage());
@@ -303,7 +290,6 @@ fn run(opts: &Options, tele: &TelemetryHandle) -> ExitCode {
                 // The taint and race clients walk per-context points-to
                 // facts.
                 record_contexts: taint_spec.is_some() || opts.races,
-                parallelism: Parallelism::threads(opts.threads),
                 telemetry: tele.clone(),
                 ..SolverConfig::default()
             };

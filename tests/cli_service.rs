@@ -3,8 +3,8 @@
 //!
 //! The contract under test: a daemon-served document is byte-identical
 //! to the batch CLI's stdout for the same query — including when the
-//! request was shed under load and retried, and at every solver thread
-//! count — and the daemon's Chrome trace carries the per-connection
+//! request was shed under load and retried — and the daemon's Chrome
+//! trace carries the per-connection
 //! service lanes (`accept`/`queue`/`rung`/`respond`).
 
 use std::io::Write as _;
@@ -107,46 +107,32 @@ fn ping_round_trips() {
     assert!(out.stdout.is_empty(), "ping must not write stdout");
 }
 
-/// The headline byte-identity contract, at solver thread counts 1/2/4:
-/// the daemon's taint JSON document equals the batch CLI's stdout.
+/// The headline byte-identity contract: the daemon's taint JSON document
+/// equals the batch CLI's stdout.
 #[test]
-fn daemon_taint_json_matches_batch_at_every_thread_count() {
-    for threads in ["1", "2", "4"] {
-        let batch = rudoop(&[
-            "taint",
-            "@pmd",
-            "--spec",
-            "builtin",
-            "--format",
-            "json",
-            "--threads",
-            threads,
-        ]);
-        assert_eq!(batch.status.code(), Some(0), "{batch:?}");
-        let reference = stdout(&batch);
-        assert!(!reference.is_empty());
+fn daemon_taint_json_matches_batch() {
+    let batch = rudoop(&["taint", "@pmd", "--spec", "builtin", "--format", "json"]);
+    assert_eq!(batch.status.code(), Some(0), "{batch:?}");
+    let reference = stdout(&batch);
+    assert!(!reference.is_empty());
 
-        let daemon = Daemon::start(
-            &format!("taint-t{threads}"),
-            &["@pmd", "--taint-spec", "builtin", "--threads", threads],
-        );
-        let out = rudoop(&[
-            "query",
-            "--addr",
-            &daemon.addr,
-            "--kind",
-            "taint",
-            "--format",
-            "json",
-        ]);
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        assert_eq!(
-            stdout(&out),
-            reference,
-            "threads={threads}: daemon taint document diverged from batch stdout"
-        );
-        assert!(stderr(&out).contains("status: complete"), "{out:?}");
-    }
+    let daemon = Daemon::start("taint", &["@pmd", "--taint-spec", "builtin"]);
+    let out = rudoop(&[
+        "query",
+        "--addr",
+        &daemon.addr,
+        "--kind",
+        "taint",
+        "--format",
+        "json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(
+        stdout(&out),
+        reference,
+        "daemon taint document diverged from batch stdout"
+    );
+    assert!(stderr(&out).contains("status: complete"), "{out:?}");
 }
 
 #[test]
@@ -174,97 +160,86 @@ fn daemon_dump_with_ladder_override_matches_batch() {
     );
 }
 
-/// Overload shedding end to end, at every thread count: while a stalled
-/// request holds the only worker slot, a no-retry client is shed with
-/// exit 5, and a retrying client backs off, gets in, and prints a
-/// document byte-identical to the batch CLI's.
+/// Overload shedding end to end: while a stalled request holds the only
+/// worker slot, a no-retry client is shed with exit 5, and a retrying
+/// client backs off, gets in, and prints a document byte-identical to the
+/// batch CLI's.
 #[test]
-fn shed_then_retried_query_matches_batch_at_every_thread_count() {
-    for threads in ["1", "2", "4"] {
-        let batch = rudoop(&[
+fn shed_then_retried_query_matches_batch() {
+    let batch = rudoop(&["@antlr", "--analysis", "insens", "--dump"]);
+    assert_eq!(batch.status.code(), Some(0), "{batch:?}");
+    let reference = stdout(&batch);
+
+    let daemon = Daemon::start(
+        "shed",
+        &[
             "@antlr",
-            "--analysis",
-            "insens",
-            "--dump",
-            "--threads",
-            threads,
-        ]);
-        assert_eq!(batch.status.code(), Some(0), "{batch:?}");
-        let reference = stdout(&batch);
-
-        let daemon = Daemon::start(
-            &format!("shed-t{threads}"),
-            &[
-                "@antlr",
-                "--workers",
-                "1",
-                "--queue",
-                "0",
-                "--threads",
-                threads,
-                "--inject",
-                "stall-ms=700@req=1",
-            ],
-        );
-
-        // Occupy the only slot: the stalled request holds it for 700ms.
-        let mut blocker = TcpStream::connect(&daemon.addr).expect("connect blocker");
-        write_raw_frame(
-            &mut blocker,
-            br#"{"op":"query","kind":"stats","ladder":"insens"}"#,
-        );
-        std::thread::sleep(Duration::from_millis(150));
-
-        // A client with no retry budget is shed: typed exit code 5.
-        let out = rudoop(&[
-            "query",
-            "--addr",
-            &daemon.addr,
-            "--kind",
-            "dump",
-            "--ladder",
-            "insens",
-            "--retries",
+            "--workers",
+            "1",
+            "--queue",
             "0",
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(5),
-            "threads={threads}: no-retry client must exit 5: {out:?}"
-        );
-        assert!(
-            stderr(&out).contains("shed by admission control"),
-            "{out:?}"
-        );
+            "--inject",
+            "stall-ms=700@req=1",
+        ],
+    );
 
-        // A retrying client gets in after backoff — and its document is
-        // byte-identical to the uncontended batch run.
-        let out = rudoop(&[
-            "query",
-            "--addr",
-            &daemon.addr,
-            "--kind",
-            "dump",
-            "--ladder",
-            "insens",
-            "--retries",
-            "5",
-            "--retry-base-ms",
-            "700",
-            "--retry-seed",
-            "7",
-        ]);
-        assert_eq!(out.status.code(), Some(0), "threads={threads}: {out:?}");
-        assert!(
-            stderr(&out).contains("retried"),
-            "threads={threads}: the client must actually have retried: {out:?}"
-        );
-        assert_eq!(
-            stdout(&out),
-            reference,
-            "threads={threads}: shed-then-retried document diverged from batch stdout"
-        );
-    }
+    // Occupy the only slot: the stalled request holds it for 700ms.
+    let mut blocker = TcpStream::connect(&daemon.addr).expect("connect blocker");
+    write_raw_frame(
+        &mut blocker,
+        br#"{"op":"query","kind":"stats","ladder":"insens"}"#,
+    );
+    std::thread::sleep(Duration::from_millis(150));
+
+    // A client with no retry budget is shed: typed exit code 5.
+    let out = rudoop(&[
+        "query",
+        "--addr",
+        &daemon.addr,
+        "--kind",
+        "dump",
+        "--ladder",
+        "insens",
+        "--retries",
+        "0",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(5),
+        "no-retry client must exit 5: {out:?}"
+    );
+    assert!(
+        stderr(&out).contains("shed by admission control"),
+        "{out:?}"
+    );
+
+    // A retrying client gets in after backoff — and its document is
+    // byte-identical to the uncontended batch run.
+    let out = rudoop(&[
+        "query",
+        "--addr",
+        &daemon.addr,
+        "--kind",
+        "dump",
+        "--ladder",
+        "insens",
+        "--retries",
+        "5",
+        "--retry-base-ms",
+        "700",
+        "--retry-seed",
+        "7",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(
+        stderr(&out).contains("retried"),
+        "the client must actually have retried: {out:?}"
+    );
+    assert_eq!(
+        stdout(&out),
+        reference,
+        "shed-then-retried document diverged from batch stdout"
+    );
 }
 
 /// A per-request wall-clock budget degrades down the ladder over the
