@@ -1,7 +1,13 @@
-//! A dense bitset indexed by IR ids, used to store refinement sets in
-//! complement form (the paper's footnote 4: the *not*-refined sets are tiny,
-//! but membership is queried on every context construction, so it must be
-//! `O(1)` and cache-friendly).
+//! Bitsets over id domains.
+//!
+//! - [`IdBitSet`] is a dense, fixed-domain bitset indexed by IR ids, used to
+//!   store refinement sets in complement form (the paper's footnote 4: the
+//!   *not*-refined sets are tiny, but membership is queried on every context
+//!   construction, so it must be `O(1)` and cache-friendly).
+//! - [`SparseBitSet`] is a growable set of dense `u32` ids stored as sorted
+//!   non-zero 64-bit words: the solver's points-to sets, where union is
+//!   word-level and memory follows the number of occupied words, not the
+//!   size of the id domain.
 
 use std::marker::PhantomData;
 
@@ -74,6 +80,129 @@ impl<I: Idx> IdBitSet<I> {
                 bits &= bits - 1;
                 Some(I::from_usize(wi * 64 + b))
             })
+        })
+    }
+}
+
+/// A growable set of `u32` ids, stored as its non-zero 64-bit words in
+/// increasing word order: entry `(k, bits)` holds the ids `64k + b` for
+/// every set bit `b` of `bits`.
+///
+/// Union is word-level — `new = src & !dst` per word — so propagating a
+/// set costs one AND-NOT/OR per occupied word rather than one hash probe
+/// per id, and the newly added ids come out as whole words too.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SparseBitSet {
+    words: Vec<(u32, u64)>,
+}
+
+impl SparseBitSet {
+    /// An empty set.
+    pub fn new() -> Self {
+        SparseBitSet::default()
+    }
+
+    /// Inserts `id`; returns whether it was newly inserted.
+    pub fn insert(&mut self, id: u32) -> bool {
+        self.or_word(id / 64, 1u64 << (id % 64)) != 0
+    }
+
+    /// Number of ids in the set.
+    pub fn len(&self) -> usize {
+        self.words
+            .iter()
+            .map(|&(_, w)| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Number of occupied 64-bit words (the cost of one union with this
+    /// set as its source).
+    pub fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Iterates over members in increasing id order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().flat_map(|&(k, w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                Some(k * 64 + b)
+            })
+        })
+    }
+
+    /// ORs `bits` into word `key`; returns the bits that were new.
+    fn or_word(&mut self, key: u32, bits: u64) -> u64 {
+        let i = self.words.partition_point(|&(k, _)| k < key);
+        match self.words.get_mut(i) {
+            Some((k, w)) if *k == key => {
+                let new = bits & !*w;
+                *w |= new;
+                new
+            }
+            _ => {
+                self.words.insert(i, (key, bits));
+                bits
+            }
+        }
+    }
+
+    /// ORs `other` into `self`, calling `on_new(key, bits)` for each word's
+    /// newly added bits in increasing key order. Returns the number of
+    /// newly added ids.
+    ///
+    /// Shared words are ORed in place; words `self` lacks are appended and
+    /// the two sorted runs merged once at the end.
+    fn union_impl(&mut self, other: &SparseBitSet, mut on_new: impl FnMut(u32, u64)) -> u64 {
+        let mut added = 0u64;
+        let ours = self.words.len();
+        let mut i = 0;
+        for &(key, bits) in &other.words {
+            i += self.words[i..ours].partition_point(|&(k, _)| k < key);
+            let new = match self.words[..ours].get_mut(i) {
+                Some((k, w)) if *k == key => {
+                    let new = bits & !*w;
+                    *w |= new;
+                    new
+                }
+                _ => {
+                    self.words.push((key, bits));
+                    bits
+                }
+            };
+            if new != 0 {
+                added += u64::from(new.count_ones());
+                on_new(key, new);
+            }
+        }
+        if self.words.len() > ours {
+            // Two sorted runs: the stable sort merges them in one pass.
+            self.words.sort_by_key(|&(k, _)| k);
+        }
+        added
+    }
+
+    /// ORs `other` into `self`; returns the number of newly added ids.
+    pub fn union(&mut self, other: &SparseBitSet) -> u64 {
+        self.union_impl(other, |_, _| {})
+    }
+
+    /// ORs `other` into `self` and also ORs exactly the newly added ids
+    /// into `added` (a points-to set and its delta); returns how many ids
+    /// were new.
+    pub fn union_with_delta(&mut self, other: &SparseBitSet, added: &mut SparseBitSet) -> u64 {
+        self.union_impl(other, |key, bits| {
+            added.or_word(key, bits);
         })
     }
 }

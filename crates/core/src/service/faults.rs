@@ -7,12 +7,12 @@
 //! ```text
 //! spec  ::= name [ "=" value ] [ "@req=" K ]
 //! name  ::= "drop-after-bytes" | "stall-ms" | "garbage-frame"
-//!         | "cancel-mid-rung" | "hold"
+//!         | "cancel-mid-rung" | "hold" | "park-rung"
 //! ```
 //!
 //! where `@req=K` pins the fault to the K-th decoded query (1-based,
 //! global arrival order; shed requests consume ordinals too). Faults
-//! without `@req=` apply to every request. The five faults:
+//! without `@req=` apply to every request. The six faults:
 //!
 //! - `drop-after-bytes=N[@req=K]` — write only the first `N` bytes of
 //!   the response frame, then shut the socket down (a truncated
@@ -30,7 +30,11 @@
 //!   its admission slot, on the service's [`HoldLatch`] until an
 //!   in-process caller releases it (or the server shuts down). Unlike a
 //!   stall, the slot stays occupied for exactly as long as the caller
-//!   needs, so overload scenarios do not depend on timing.
+//!   needs, so overload scenarios do not depend on timing,
+//! - `park-rung@req=K` — park the request's first ladder rung until its
+//!   watchdog cancels it (the request's `timeout_ms` elapses, or the client
+//!   disconnects): a rung that never finishes on its own, so timeout
+//!   degradation does not depend on how fast the solver is.
 
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -51,6 +55,8 @@ pub enum FaultKind {
     /// Park after the analysis, holding the admission slot, until the
     /// [`HoldLatch`] is released.
     Hold,
+    /// Park the first ladder rung until its watchdog cancels it.
+    ParkRung,
 }
 
 /// One parsed `--inject` spec.
@@ -114,10 +120,16 @@ impl FaultPlan {
                 }
                 FaultKind::Hold
             }
+            "park-rung" => {
+                if value.is_some() {
+                    return Err(format!("park-rung takes no value in {spec:?}"));
+                }
+                FaultKind::ParkRung
+            }
             other => {
                 return Err(format!(
                     "unknown fault {other:?} in {spec:?} (want drop-after-bytes, \
-                     stall-ms, garbage-frame, cancel-mid-rung, or hold)"
+                     stall-ms, garbage-frame, cancel-mid-rung, hold, or park-rung)"
                 ));
             }
         };
@@ -175,6 +187,11 @@ impl FaultPlan {
     /// Whether request `req` parks on the hold latch after its analysis.
     pub fn hold(&self, req: u64) -> bool {
         self.targeting(req).any(|s| s.kind == FaultKind::Hold)
+    }
+
+    /// Whether request `req`'s first rung parks until its watchdog fires.
+    pub fn park_rung(&self, req: u64) -> bool {
+        self.targeting(req).any(|s| s.kind == FaultKind::ParkRung)
     }
 }
 
@@ -280,6 +297,13 @@ mod tests {
                 req: Some(4)
             }
         );
+        assert_eq!(
+            FaultPlan::parse_one("park-rung@req=1").unwrap(),
+            FaultSpec {
+                kind: FaultKind::ParkRung,
+                req: Some(1)
+            }
+        );
         for bad in [
             "explode",
             "stall-ms",
@@ -287,6 +311,7 @@ mod tests {
             "garbage-frame=1",
             "cancel-mid-rung=5",
             "hold=1",
+            "park-rung=2",
             "stall-ms=5@req=0",
             "stall-ms=5@req=x",
         ] {

@@ -289,8 +289,9 @@ impl ServiceState {
 
     /// Runs one accepted query under the supervisor and renders its
     /// response document. `cancel` is the per-request token (wired to
-    /// client disconnect and to the `cancel-mid-rung` fault).
-    pub fn execute(&self, query: &QueryRequest, cancel: CancelToken) -> Executed {
+    /// client disconnect and to the `cancel-mid-rung` fault); `req` is the
+    /// request's ordinal, which the `park-rung` fault targets.
+    pub fn execute(&self, query: &QueryRequest, cancel: CancelToken, req: u64) -> Executed {
         let ladder = match &query.ladder {
             Some(spec) => match LadderSpec::parse(spec) {
                 Ok(l) => l,
@@ -328,6 +329,7 @@ impl ServiceState {
             watchdog: query.budget.ms.is_some(),
             warm_first_pass: self.warm.clone(),
             warm_summaries,
+            park_first_rung: self.config.faults.park_rung(req),
         };
         let run = supervise(&self.program, &self.hierarchy, &cfg);
         // The degraded flag tracks the ladder verdict, not the rendering:

@@ -18,7 +18,7 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -223,54 +223,100 @@ fn poll_read_full(
     PollRead::Done
 }
 
-/// Watches a connection for client disconnect while a query runs, and
-/// cancels the request token when the peer goes away. Uses `peek` so
-/// pipelined follow-up frames are left in the socket for the main loop.
+/// Watches a connection for client disconnect while one of its queries
+/// runs, and cancels that query's token when the peer goes away. Uses
+/// `peek` so pipelined follow-up frames are left in the socket for the
+/// main loop.
+///
+/// One thread per connection, started at its first query and joined when
+/// the connection ends. Between queries the thread waits on a condition
+/// variable instead of peeking, so finishing a query ([`Self::idle`]) never
+/// blocks: the connection's next frame is read at once, not after the
+/// monitor's current 50 ms peek runs out.
 struct DisconnectMonitor {
-    stop: Arc<AtomicBool>,
+    shared: Arc<MonitorShared>,
     thread: Option<thread::JoinHandle<()>>,
 }
 
+#[derive(Default)]
+struct MonitorShared {
+    /// `(token of the query in flight, connection finished)`.
+    state: Mutex<(Option<CancelToken>, bool)>,
+    wake: Condvar,
+}
+
+impl MonitorShared {
+    fn lock(&self) -> MutexGuard<'_, (Option<CancelToken>, bool)> {
+        // Every update is a single assignment, so a poisoned state is
+        // still consistent.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The token to watch next; `None` once the connection is finished.
+    fn next_token(&self) -> Option<CancelToken> {
+        let mut state = self.lock();
+        loop {
+            if state.1 {
+                return None;
+            }
+            if let Some(token) = &state.0 {
+                return Some(token.clone());
+            }
+            state = self.wake.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
 impl DisconnectMonitor {
-    fn watch(stream: &TcpStream, token: CancelToken) -> Option<DisconnectMonitor> {
+    fn start(stream: &TcpStream) -> Option<DisconnectMonitor> {
         let peek = stream.try_clone().ok()?;
         peek.set_read_timeout(Some(Duration::from_millis(50)))
             .ok()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let shared = Arc::new(MonitorShared::default());
+        let watcher = Arc::clone(&shared);
         let thread = thread::spawn(move || {
             let mut byte = [0u8; 1];
-            while !stop2.load(Ordering::SeqCst) {
+            while watcher.next_token().is_some() {
                 match peek.peek(&mut byte) {
-                    // EOF: the client hung up — cancel the request.
-                    Ok(0) => {
-                        token.cancel();
-                        return;
-                    }
                     // Pipelined data waiting: the client is alive. Sleep
                     // instead of spinning on the instantly-ready peek.
-                    Ok(_) => thread::sleep(Duration::from_millis(50)),
+                    Ok(n) if n > 0 => thread::sleep(Duration::from_millis(50)),
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
                             || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    // Any hard error counts as a disconnect.
-                    Err(_) => {
-                        token.cancel();
+                    // EOF or a hard error: the client hung up. Cancel the
+                    // query in flight, if one still is.
+                    _ => {
+                        if let Some(token) = &watcher.lock().0 {
+                            token.cancel();
+                        }
                         return;
                     }
                 }
             }
         });
         Some(DisconnectMonitor {
-            stop,
+            shared,
             thread: Some(thread),
         })
+    }
+
+    /// Watches for disconnect on behalf of the query holding `token`.
+    fn watch(&self, token: CancelToken) {
+        self.shared.lock().0 = Some(token);
+        self.shared.wake.notify_all();
+    }
+
+    /// The query finished: stop watching, without waiting for the thread.
+    fn idle(&self) {
+        self.shared.lock().0 = None;
     }
 }
 
 impl Drop for DisconnectMonitor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.lock().1 = true;
+        self.shared.wake.notify_all();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -314,6 +360,7 @@ fn serve_connection(
         let now = t.now_us();
         t.complete_span(lane, "accept", now, now, vec![]);
     }
+    let mut monitor: Option<DisconnectMonitor> = None;
     loop {
         let payload = match read_request(&mut stream, &shutdown) {
             ConnRead::Frame(payload) => payload,
@@ -411,7 +458,12 @@ fn serve_connection(
                 // Cancellation: wired to client disconnect for the whole
                 // run, and to the mid-rung fault when armed.
                 let token = CancelToken::new();
-                let _monitor = DisconnectMonitor::watch(&stream, token.clone());
+                if monitor.is_none() {
+                    monitor = DisconnectMonitor::start(&stream);
+                }
+                if let Some(monitor) = &monitor {
+                    monitor.watch(token.clone());
+                }
                 let _midrung = faults.cancel_mid_rung(req).then(|| {
                     let token = token.clone();
                     thread::spawn(move || {
@@ -421,7 +473,10 @@ fn serve_connection(
                 });
 
                 let rung_start = tele.as_deref().map(|t| t.now_us());
-                let executed = state.execute(&query, token);
+                let executed = state.execute(&query, token, req);
+                if let Some(monitor) = &monitor {
+                    monitor.idle();
+                }
                 // Hold fault: park after the work, still holding the slot.
                 if faults.hold(req) {
                     state.hold_latch().park();

@@ -32,7 +32,7 @@ use rudoop_ir::{
     MethodId, Program, VarId,
 };
 
-use crate::bitset::IdBitSet;
+use crate::bitset::{IdBitSet, SparseBitSet};
 use crate::context::{CObj, CtxId, CtxTables, HCtxId};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::policy::ContextPolicy;
@@ -519,6 +519,36 @@ fn record_run_counters(tele: &crate::telemetry::TelemetryHandle, result: &Points
     tele.counter(&format!("{name}.outcome"), outcome);
 }
 
+/// Deterministic counts of the work the worklist did, recorded in the
+/// telemetry metric stream (never the counter stream: they describe the
+/// engine, not the result).
+#[derive(Debug, Default)]
+struct WorkCounters {
+    /// Nodes popped off the worklist.
+    drains: u64,
+    /// Source words processed by word-level set unions.
+    words_unioned: u64,
+    /// Ids of drained deltas, summed over drains.
+    ids_propagated: u64,
+    /// Receiver-call (VCALL) evaluations, one per receiver object.
+    receiver_calls: u64,
+    /// Method bodies instantiated under a context.
+    instantiations: u64,
+    /// Field-node lookups (hits and creations).
+    field_lookups: u64,
+}
+
+impl WorkCounters {
+    fn record(&self, tele: &crate::telemetry::Telemetry) {
+        tele.metric("seq.worklist_drains", self.drains);
+        tele.metric("seq.words_unioned", self.words_unioned);
+        tele.metric("seq.ids_propagated", self.ids_propagated);
+        tele.metric("seq.receiver_calls", self.receiver_calls);
+        tele.metric("seq.instantiations", self.instantiations);
+        tele.metric("seq.field_lookups", self.field_lookups);
+    }
+}
+
 struct Solver<'p> {
     program: &'p Program,
     hierarchy: &'p ClassHierarchy,
@@ -527,8 +557,10 @@ struct Solver<'p> {
     tables: CtxTables,
 
     nodes: Vec<NodeKind>,
-    pts: Vec<FxHashSet<u64>>,
-    delta: Vec<Vec<u64>>,
+    /// Per-node points-to set and not-yet-propagated delta, over dense
+    /// object ids (`delta ⊆ pts`).
+    pts: Vec<SparseBitSet>,
+    delta: Vec<SparseBitSet>,
     succ: Vec<Vec<NodeId>>,
     loads: Vec<Vec<(FieldId, NodeId)>>,
     stores: Vec<Vec<(FieldId, NodeId)>>,
@@ -537,9 +569,15 @@ struct Solver<'p> {
 
     filter_succ: Vec<Vec<(rudoop_ir::ClassId, NodeId)>>,
     var_nodes: FxHashMap<u64, NodeId>,
-    field_nodes: FxHashMap<(u64, u32), NodeId>,
+    /// Keyed by `(object id << 32) | field`.
+    field_nodes: FxHashMap<u64, NodeId>,
     global_nodes: FxHashMap<u32, NodeId>,
     edge_set: FxHashSet<(u32, u32)>,
+
+    /// Dense object ids: a context-qualified object gets the next id on
+    /// its first insertion into any points-to set.
+    obj_ids: FxHashMap<u64, u32>,
+    obj_of: Vec<CObj>,
 
     reachable: FxHashSet<u64>,
     cg_edges: FxHashSet<(u64, u64)>,
@@ -550,7 +588,7 @@ struct Solver<'p> {
 
     derivations: u64,
     cg_edge_count: u64,
-    drains: u64,
+    work: WorkCounters,
     start: Instant,
     exhausted: Option<ExhaustionCause>,
     node_cap: usize,
@@ -590,6 +628,8 @@ impl<'p> Solver<'p> {
             field_nodes: FxHashMap::default(),
             global_nodes: FxHashMap::default(),
             edge_set: FxHashSet::default(),
+            obj_ids: FxHashMap::default(),
+            obj_of: Vec::new(),
             reachable: FxHashSet::default(),
             cg_edges: FxHashSet::default(),
             inst_queue: VecDeque::new(),
@@ -597,7 +637,7 @@ impl<'p> Solver<'p> {
             in_worklist: Vec::new(),
             derivations: 0,
             cg_edge_count: 0,
-            drains: 0,
+            work: WorkCounters::default(),
             start: Instant::now(),
             exhausted: None,
             node_cap,
@@ -615,8 +655,8 @@ impl<'p> Solver<'p> {
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(kind);
-        self.pts.push(FxHashSet::default());
-        self.delta.push(Vec::new());
+        self.pts.push(SparseBitSet::new());
+        self.delta.push(SparseBitSet::new());
         self.succ.push(Vec::new());
         self.loads.push(Vec::new());
         self.stores.push(Vec::new());
@@ -637,12 +677,16 @@ impl<'p> Solver<'p> {
         Ok(n)
     }
 
-    fn field_node(&mut self, obj: CObj, field: FieldId) -> Result<NodeId, SolverError> {
-        let key = (obj.0, field.0);
+    fn field_node(&mut self, obj: u32, field: FieldId) -> Result<NodeId, SolverError> {
+        self.work.field_lookups += 1;
+        let key = (u64::from(obj) << 32) | u64::from(field.0);
         if let Some(&n) = self.field_nodes.get(&key) {
             return Ok(n);
         }
-        let n = self.new_node(NodeKind::Field(obj, field), CtxId::EMPTY)?;
+        let n = self.new_node(
+            NodeKind::Field(self.obj_of[obj as usize], field),
+            CtxId::EMPTY,
+        )?;
         self.field_nodes.insert(key, n);
         Ok(n)
     }
@@ -663,13 +707,49 @@ impl<'p> Solver<'p> {
         }
     }
 
-    fn add_obj(&mut self, node: NodeId, obj: u64) {
+    /// The dense id of `obj`, assigned on first use.
+    fn intern(&mut self, obj: CObj) -> u32 {
+        let next = self.obj_of.len() as u32;
+        let id = *self.obj_ids.entry(obj.0).or_insert(next);
+        if id == next {
+            self.obj_of.push(obj);
+        }
+        id
+    }
+
+    fn add_obj(&mut self, node: NodeId, obj: u32) {
         let i = node.0 as usize;
         if self.pts[i].insert(obj) {
             self.derivations += 1;
-            self.delta[i].push(obj);
+            self.delta[i].insert(obj);
             self.enqueue(node);
         }
+    }
+
+    /// Word-level union of `objs` into `to`'s points-to set; the newly
+    /// added ids also join its delta, and each counts as one derivation.
+    fn add_objs(&mut self, to: NodeId, objs: &SparseBitSet) {
+        let i = to.0 as usize;
+        self.work.words_unioned += objs.word_count() as u64;
+        let new = self.pts[i].union_with_delta(objs, &mut self.delta[i]);
+        if new > 0 {
+            self.derivations += new;
+            self.enqueue(to);
+        }
+    }
+
+    /// Adds `obj` to `to` when its allocation's class conforms to `class`.
+    fn add_obj_filtered(&mut self, to: NodeId, obj: u32, class: rudoop_ir::ClassId) {
+        let heap_class = self.program.allocs[self.obj_of[obj as usize].heap()].class;
+        if self.hierarchy.is_subtype(heap_class, class) {
+            self.add_obj(to, obj);
+        }
+    }
+
+    /// The ids currently in `node`'s points-to set, for registering a
+    /// load, store or call on a base variable that already has objects.
+    fn objs_of(&self, node: NodeId) -> Vec<u32> {
+        self.pts[node.0 as usize].iter().collect()
     }
 
     fn add_edge(&mut self, from: NodeId, to: NodeId) {
@@ -678,10 +758,10 @@ impl<'p> Solver<'p> {
         }
         self.succ[from.0 as usize].push(to);
         if !self.pts[from.0 as usize].is_empty() {
-            let objs: Vec<u64> = self.pts[from.0 as usize].iter().copied().collect();
-            for o in objs {
-                self.add_obj(to, o);
-            }
+            // `from != to`, so lending out the source set is safe.
+            let objs = std::mem::take(&mut self.pts[from.0 as usize]);
+            self.add_objs(to, &objs);
+            self.pts[from.0 as usize] = objs;
         }
     }
 
@@ -689,14 +769,8 @@ impl<'p> Solver<'p> {
     /// through (Doop's assign-cast filtering).
     fn add_filtered_edge(&mut self, from: NodeId, to: NodeId, class: rudoop_ir::ClassId) {
         self.filter_succ[from.0 as usize].push((class, to));
-        if !self.pts[from.0 as usize].is_empty() {
-            let objs: Vec<u64> = self.pts[from.0 as usize].iter().copied().collect();
-            for o in objs {
-                let heap_class = self.program.allocs[CObj(o).heap()].class;
-                if self.hierarchy.is_subtype(heap_class, class) {
-                    self.add_obj(to, o);
-                }
-            }
+        for o in self.objs_of(from) {
+            self.add_obj_filtered(to, o, class);
         }
     }
 
@@ -754,9 +828,8 @@ impl<'p> Solver<'p> {
                         let b = self.var_node(base, caller)?;
                         let f = self.var_node(arg, caller)?;
                         self.stores[b.0 as usize].push((field, f));
-                        let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                        for o in existing {
-                            let fnode = self.field_node(CObj(o), field)?;
+                        for o in self.objs_of(b) {
+                            let fnode = self.field_node(o, field)?;
                             self.add_edge(f, fnode);
                         }
                     }
@@ -789,9 +862,8 @@ impl<'p> Solver<'p> {
                 let b = self.var_node(base, caller)?;
                 let to = self.var_node(result, caller)?;
                 self.loads[b.0 as usize].push((field, to));
-                let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                for o in existing {
-                    let fnode = self.field_node(CObj(o), field)?;
+                for o in self.objs_of(b) {
+                    let fnode = self.field_node(o, field)?;
                     self.add_edge(fnode, to);
                 }
             } else {
@@ -843,15 +915,15 @@ impl<'p> Solver<'p> {
                     if let Some(base) = self.invoke_base(invoke) {
                         let b = self.var_node(base, caller)?;
                         self.loads[b.0 as usize].push((field, to));
-                        let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                        for o in existing {
-                            let fnode = self.field_node(CObj(o), field)?;
+                        for o in self.objs_of(b) {
+                            let fnode = self.field_node(o, field)?;
                             self.add_edge(fnode, to);
                         }
                     }
                 }
                 SummaryAtom::AllocToRet(h) => {
-                    self.add_obj(to, CObj::new(h, HCtxId::EMPTY).0);
+                    let obj = self.intern(CObj::new(h, HCtxId::EMPTY));
+                    self.add_obj(to, obj);
                 }
                 SummaryAtom::GlobalToRet(g) => {
                     let from = self.global_node(g)?;
@@ -871,14 +943,16 @@ impl<'p> Solver<'p> {
         }
     }
 
-    /// The VCALL rule: one receiver object arriving at the base variable of
-    /// a virtual or special call.
+    /// The VCALL rule: one receiver object (by dense id) arriving at the
+    /// base variable of a virtual or special call.
     fn process_receiver_call(
         &mut self,
         invoke: InvokeId,
         caller: CtxId,
-        obj: CObj,
+        id: u32,
     ) -> Result<(), SolverError> {
+        self.work.receiver_calls += 1;
+        let obj = self.obj_of[id as usize];
         let target = match self.program.invokes[invoke].kind {
             InvokeKind::Virtual { sig, .. } => {
                 let class = self.program.allocs[obj.heap()].class;
@@ -905,7 +979,7 @@ impl<'p> Solver<'p> {
         );
         if let Some(this) = self.program.methods[target].this {
             let tnode = self.var_node(this, callee)?;
-            self.add_obj(tnode, obj.0);
+            self.add_obj(tnode, id);
         }
         self.add_call_edge(invoke, caller, target, callee)
     }
@@ -913,6 +987,7 @@ impl<'p> Solver<'p> {
     /// Instantiates the body of `method` under `ctx`: the REACHABLE-guarded
     /// premises of every rule in Figure 3.
     fn instantiate(&mut self, method: MethodId, ctx: CtxId) -> Result<(), SolverError> {
+        self.work.instantiations += 1;
         let body_len = self.program.methods[method].body.len();
         for idx in 0..body_len {
             let instr = self.program.methods[method].body[idx].clone();
@@ -920,7 +995,8 @@ impl<'p> Solver<'p> {
                 Instruction::Alloc { var, alloc } => {
                     let hctx = self.policy.record(&mut self.tables, alloc, ctx);
                     let node = self.var_node(var, ctx)?;
-                    self.add_obj(node, CObj::new(alloc, hctx).0);
+                    let obj = self.intern(CObj::new(alloc, hctx));
+                    self.add_obj(node, obj);
                 }
                 Instruction::Move { to, from } => {
                     let f = self.var_node(from, ctx)?;
@@ -940,9 +1016,8 @@ impl<'p> Solver<'p> {
                     let b = self.var_node(base, ctx)?;
                     let t = self.var_node(to, ctx)?;
                     self.loads[b.0 as usize].push((field, t));
-                    let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                    for o in existing {
-                        let fnode = self.field_node(CObj(o), field)?;
+                    for o in self.objs_of(b) {
+                        let fnode = self.field_node(o, field)?;
                         self.add_edge(fnode, t);
                     }
                 }
@@ -950,9 +1025,8 @@ impl<'p> Solver<'p> {
                     let b = self.var_node(base, ctx)?;
                     let f = self.var_node(from, ctx)?;
                     self.stores[b.0 as usize].push((field, f));
-                    let existing: Vec<u64> = self.pts[b.0 as usize].iter().copied().collect();
-                    for o in existing {
-                        let fnode = self.field_node(CObj(o), field)?;
+                    for o in self.objs_of(b) {
+                        let fnode = self.field_node(o, field)?;
                         self.add_edge(f, fnode);
                     }
                 }
@@ -981,10 +1055,8 @@ impl<'p> Solver<'p> {
                         InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } => {
                             let b = self.var_node(base, ctx)?;
                             self.calls[b.0 as usize].push(invoke);
-                            let existing: Vec<u64> =
-                                self.pts[b.0 as usize].iter().copied().collect();
-                            for o in existing {
-                                self.process_receiver_call(invoke, ctx, CObj(o))?;
+                            for o in self.objs_of(b) {
+                                self.process_receiver_call(invoke, ctx, o)?;
                             }
                         }
                         InvokeKind::Static { target } => {
@@ -1059,9 +1131,10 @@ impl<'p> Solver<'p> {
             self.exhausted = Some(err.cause());
         }
         if let Some(tele) = tele.as_deref() {
-            // Engine metric: worklist drains. Not in the counter stream,
-            // which holds only values derived from the final result.
-            tele.metric("seq.worklist_drains", self.drains);
+            // Engine metrics: how the worklist did its work. Not in the
+            // counter stream, which holds only values derived from the
+            // final result.
+            self.work.record(tele);
         }
         let result = self.finish();
         if let Some(span) = &span {
@@ -1083,54 +1156,51 @@ impl<'p> Solver<'p> {
             let Some(node) = self.worklist.pop_front() else {
                 break;
             };
-            self.in_worklist[node.0 as usize] = false;
-            self.drains += 1;
+            let i = node.0 as usize;
+            self.in_worklist[i] = false;
+            self.work.drains += 1;
             if let Some(cause) = self.stop_cause() {
                 self.exhausted = Some(cause);
                 break;
             }
-            let d = std::mem::take(&mut self.delta[node.0 as usize]);
+            let d = std::mem::take(&mut self.delta[i]);
             if d.is_empty() {
                 continue;
             }
-            let succs = self.succ[node.0 as usize].clone();
-            for s in succs {
-                for &o in &d {
-                    self.add_obj(s, o);
+            self.work.ids_propagated += d.len() as u64;
+            // The adjacency lists may grow while `node` drains (an edge out
+            // of `node` added by a store, a cut registered on it); entries
+            // added meanwhile already received the full set when added, so
+            // each loop walks only the entries present at its start.
+            for k in 0..self.succ[i].len() {
+                let s = self.succ[i][k];
+                self.add_objs(s, &d);
+            }
+            for k in 0..self.filter_succ[i].len() {
+                let (class, s) = self.filter_succ[i][k];
+                for o in d.iter() {
+                    self.add_obj_filtered(s, o, class);
                 }
             }
-            if !self.filter_succ[node.0 as usize].is_empty() {
-                let filtered = self.filter_succ[node.0 as usize].clone();
-                for (class, s) in filtered {
-                    for &o in &d {
-                        let heap_class = self.program.allocs[CObj(o).heap()].class;
-                        if self.hierarchy.is_subtype(heap_class, class) {
-                            self.add_obj(s, o);
-                        }
-                    }
-                }
-            }
-            let loads = self.loads[node.0 as usize].clone();
-            for (field, to) in loads {
-                for &o in &d {
-                    let fnode = self.field_node(CObj(o), field)?;
+            for k in 0..self.loads[i].len() {
+                let (field, to) = self.loads[i][k];
+                for o in d.iter() {
+                    let fnode = self.field_node(o, field)?;
                     self.add_edge(fnode, to);
                 }
             }
-            let stores = self.stores[node.0 as usize].clone();
-            for (field, from) in stores {
-                for &o in &d {
-                    let fnode = self.field_node(CObj(o), field)?;
+            for k in 0..self.stores[i].len() {
+                let (field, from) = self.stores[i][k];
+                for o in d.iter() {
+                    let fnode = self.field_node(o, field)?;
                     self.add_edge(from, fnode);
                 }
             }
-            let calls = self.calls[node.0 as usize].clone();
-            if !calls.is_empty() {
-                let caller = self.node_ctx[node.0 as usize];
-                for invoke in calls {
-                    for &o in &d {
-                        self.process_receiver_call(invoke, caller, CObj(o))?;
-                    }
+            let caller = self.node_ctx[i];
+            for k in 0..self.calls[i].len() {
+                let invoke = self.calls[i][k];
+                for o in d.iter() {
+                    self.process_receiver_call(invoke, caller, o)?;
                 }
             }
         }
@@ -1142,40 +1212,43 @@ impl<'p> Solver<'p> {
         let _span = crate::telemetry::span_opt(&tele, "project");
         let duration = self.start.elapsed();
 
-        let mut var_pts: IdxVec<VarId, Vec<AllocId>> =
-            (0..self.program.vars.len()).map(|_| Vec::new()).collect();
-        let mut field_pts: FxHashMap<(AllocId, FieldId), Vec<AllocId>> = FxHashMap::default();
-        let mut global_pts: FxHashMap<GlobalId, Vec<AllocId>> = FxHashMap::default();
+        // Union projection: OR the sets of every context node of a
+        // variable (or of every heap context of a field's base object),
+        // then map each distinct id to its allocation site once.
+        let mut var_sets: IdxVec<VarId, SparseBitSet> = (0..self.program.vars.len())
+            .map(|_| SparseBitSet::new())
+            .collect();
+        let mut field_sets: FxHashMap<(AllocId, FieldId), SparseBitSet> = FxHashMap::default();
+        let mut global_sets: FxHashMap<GlobalId, SparseBitSet> = FxHashMap::default();
         let mut cs_var = 0u64;
         let mut cs_field = 0u64;
         let mut dump = self.config.record_contexts.then(CsDump::default);
 
         for (i, kind) in self.nodes.iter().enumerate() {
+            let pts = &self.pts[i];
             match *kind {
                 NodeKind::Var(v, ctx) => {
-                    cs_var += self.pts[i].len() as u64;
-                    let set = &mut var_pts[v];
-                    for &o in &self.pts[i] {
-                        let obj = CObj(o);
-                        set.push(obj.heap());
-                        if let Some(d) = dump.as_mut() {
+                    cs_var += pts.len() as u64;
+                    var_sets[v].union(pts);
+                    if let Some(d) = dump.as_mut() {
+                        for o in pts.iter() {
+                            let obj = self.obj_of[o as usize];
                             d.var_points_to.push((v, ctx, obj.heap(), obj.hctx()));
                         }
                     }
                 }
                 NodeKind::Global(global) => {
-                    let set = global_pts.entry(global).or_default();
-                    for &o in &self.pts[i] {
-                        set.push(CObj(o).heap());
-                    }
+                    global_sets.entry(global).or_default().union(pts);
                 }
                 NodeKind::Field(base, field) => {
-                    cs_field += self.pts[i].len() as u64;
-                    let set = field_pts.entry((base.heap(), field)).or_default();
-                    for &o in &self.pts[i] {
-                        let obj = CObj(o);
-                        set.push(obj.heap());
-                        if let Some(d) = dump.as_mut() {
+                    cs_field += pts.len() as u64;
+                    field_sets
+                        .entry((base.heap(), field))
+                        .or_default()
+                        .union(pts);
+                    if let Some(d) = dump.as_mut() {
+                        for o in pts.iter() {
+                            let obj = self.obj_of[o as usize];
                             d.field_points_to.push((
                                 base.heap(),
                                 base.hctx(),
@@ -1188,18 +1261,20 @@ impl<'p> Solver<'p> {
                 }
             }
         }
-        for set in var_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-        for set in field_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
-        for set in global_pts.values_mut() {
-            set.sort_unstable();
-            set.dedup();
-        }
+        let heaps = |set: &SparseBitSet| -> Vec<AllocId> {
+            let mut out: Vec<AllocId> =
+                set.iter().map(|o| self.obj_of[o as usize].heap()).collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        let var_pts: IdxVec<VarId, Vec<AllocId>> = var_sets.values().map(heaps).collect();
+        let field_pts: FxHashMap<(AllocId, FieldId), Vec<AllocId>> =
+            field_sets.iter().map(|(&k, set)| (k, heaps(set))).collect();
+        let global_pts: FxHashMap<GlobalId, Vec<AllocId>> = global_sets
+            .iter()
+            .map(|(&k, set)| (k, heaps(set)))
+            .collect();
 
         let mut call_targets: FxHashMap<InvokeId, Vec<MethodId>> = FxHashMap::default();
         for &(ic, mc) in &self.cg_edges {

@@ -287,6 +287,13 @@ pub struct SupervisorConfig {
     /// byte-identical to a cold one by construction and needs no budget
     /// admission test.
     pub warm_summaries: Option<Arc<crate::summaries::SummaryTable>>,
+    /// Fault injection: rung 0 waits, before it starts, until its own
+    /// token is cancelled — by the watchdog's deadline or by the external
+    /// token — the way a rung that never finishes on its own would. Only
+    /// honored when something can cancel the rung (a watchdog deadline or
+    /// an external token); off outside fault-injection runs. The service's
+    /// `park-rung` fault sets it.
+    pub park_first_rung: bool,
 }
 
 /// Whether `stats` (of a completed run) fits inside `budget` — the warm
@@ -580,6 +587,11 @@ pub fn supervise(
                 tele.clone(),
             )
         });
+        if i == 0 && cfg.park_first_rung && needs_watchdog {
+            while !rung_token.is_cancelled() {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
 
         let mut ran_first_pass = false;
         let (result, selection_time) = match &rung.kind {

@@ -14,6 +14,8 @@
 //!   uncontended one,
 //! - garbage and truncated response frames are retried by the client,
 //! - client disconnect cancels the in-flight analysis,
+//! - a kept-alive connection answers request after request, each
+//!   byte-identical to the batch rendering,
 //! - tight budgets degrade down the ladder with the 0/3/4 contract.
 
 use std::io::Write as _;
@@ -22,6 +24,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rudoop_core::driver::{analyze_flavor, Flavor};
 use rudoop_core::service::client::{query_with_retry, send_once, RetryPolicy};
 use rudoop_core::service::faults::FaultPlan;
 use rudoop_core::service::protocol::{
@@ -29,7 +32,10 @@ use rudoop_core::service::protocol::{
 };
 use rudoop_core::service::server::{Server, ServerHandle};
 use rudoop_core::service::{ServiceConfig, ServiceState};
+use rudoop_core::solver::SolverConfig;
+use rudoop_core::stats::{render_dump, ResultStats};
 use rudoop_ir::rng::SplitMix64;
+use rudoop_ir::ClassHierarchy;
 use rudoop_workloads::dacapo;
 
 /// Spawns a server over `benchmark`, returning the handle plus the shared
@@ -53,8 +59,9 @@ fn quick_stats() -> Request {
     })
 }
 
-/// A slow query: the full `2objH` rung, which runs long enough on
-/// `hsqldb` for cancellation to land mid-rung.
+/// A slow query: the full `2objH` rung on `hsqldb`. Tests that need a
+/// cancellation to land mid-rung also arm `park-rung`, which holds the
+/// rung until its token is cancelled.
 fn slow_stats() -> Request {
     Request::Query(QueryRequest {
         kind: "stats".to_owned(),
@@ -171,7 +178,13 @@ fn seeded_protocol_fuzz_leaves_the_daemon_serving() {
 #[test]
 fn mid_rung_cancel_salvages_partial_facts() {
     let config = ServiceConfig {
-        faults: FaultPlan::parse(&["cancel-mid-rung@req=1".to_owned()]).unwrap(),
+        // The rung stays parked until the mid-rung token cancels it, so
+        // the cancel lands mid-rung however fast the solver is.
+        faults: FaultPlan::parse(&[
+            "cancel-mid-rung@req=1".to_owned(),
+            "park-rung@req=1".to_owned(),
+        ])
+        .unwrap(),
         ..ServiceConfig::default()
     };
     let (handle, _state, addr) = service("hsqldb", config);
@@ -296,6 +309,9 @@ fn client_disconnect_cancels_the_inflight_request() {
     let config = ServiceConfig {
         workers: 1,
         queue: 0,
+        // The rung stays parked until the disconnect cancels it, so the
+        // request is still in flight when the client hangs up.
+        faults: FaultPlan::parse(&["park-rung@req=1".to_owned()]).unwrap(),
         ..ServiceConfig::default()
     };
     let (handle, state, addr) = service("hsqldb", config);
@@ -315,7 +331,7 @@ fn client_disconnect_cancels_the_inflight_request() {
 
     // The disconnect monitor cancels the token; the supervised run winds
     // down as non-complete, which the degraded counter records. Without
-    // cancellation a full 2objH on hsqldb would hold the slot far longer.
+    // cancellation the parked rung would hold the slot forever.
     let deadline = Instant::now() + Duration::from_secs(60);
     while state.counters.degraded.load(Ordering::Relaxed) == 0 {
         assert!(
@@ -417,6 +433,48 @@ fn warm_summary_cache_serves_repeated_queries() {
             1,
             "the table is computed at most once per resident program"
         );
+    }
+    handle.stop();
+}
+
+/// Several queries over one kept-alive connection: each is answered in
+/// order, and each document is byte-identical to the batch rendering of
+/// the same analysis. (The disconnect monitor of one request must not hold
+/// up the connection's next frame.)
+#[test]
+fn kept_alive_connection_answers_every_request_like_batch() {
+    let (handle, _state, addr) = service("antlr", ServiceConfig::default());
+    let program = dacapo::antlr().build();
+    let hierarchy = ClassHierarchy::new(&program);
+    let batch = |flavor: Flavor, kind: &str| {
+        let result = analyze_flavor(&program, &hierarchy, flavor, &SolverConfig::default());
+        match kind {
+            "dump" => render_dump(&program, &result),
+            _ => ResultStats::compute(&program, &result, 10).render(&program),
+        }
+    };
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    for round in 0..3 {
+        for (kind, ladder, flavor) in [
+            ("stats", "insens", Flavor::Insensitive),
+            ("dump", "insens", Flavor::Insensitive),
+            ("stats", "2objH", Flavor::OBJ2H),
+        ] {
+            let request = Request::Query(QueryRequest {
+                kind: kind.to_owned(),
+                ladder: Some(ladder.to_owned()),
+                ..QueryRequest::default()
+            });
+            protocol::write_frame(&mut stream, request.render().as_bytes()).unwrap();
+            let payload = protocol::read_frame(&mut stream, MAX_RESPONSE_FRAME).unwrap();
+            let (status, exit_code, doc) = expect_doc(Response::parse(&payload).unwrap());
+            assert_eq!((status.as_str(), exit_code), ("complete", 0));
+            assert_eq!(
+                doc,
+                batch(flavor, kind),
+                "round {round}: {kind}/{ladder} over a kept-alive connection diverged from batch"
+            );
+        }
     }
     handle.stop();
 }

@@ -83,6 +83,7 @@ fn ladder_degrades_to_introspective() {
         watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let run = supervise(&program, &hierarchy, &cfg);
 
@@ -139,6 +140,7 @@ fn supervised_run_is_reproducible() {
         watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let a = supervise(&program, &hierarchy, &cfg);
     let b = supervise(&program, &hierarchy, &cfg);
@@ -188,6 +190,7 @@ fn all_rungs_exhausted_salvages_best_partial() {
         watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let run = supervise(&program, &hierarchy, &cfg);
     assert_eq!(run.verdict, SupervisionVerdict::Exhausted);
@@ -211,6 +214,7 @@ fn complete_first_rung_is_verdict_complete() {
         watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let run = supervise(&program, &hierarchy, &cfg);
     assert_eq!(run.verdict, SupervisionVerdict::Complete);
@@ -260,6 +264,7 @@ fn ladder_recovers_from_capacity_exceeded() {
         watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let run = supervise(&program, &hierarchy, &cfg);
     // 2objH trips the context cap; insens needs no new contexts and
@@ -307,9 +312,9 @@ fn pre_cancelled_token_stops_immediately() {
 
 #[test]
 fn watchdog_enforces_wall_clock_deadline() {
-    // Sized so that 2objH needs far longer than the 30ms deadline even in
-    // an optimized build (a smaller hub finishes in about 30ms there).
-    let program = hub_program(400, 2000);
+    // The rung is parked until its own token is cancelled, so nothing but
+    // the 30ms deadline can end it, however fast the solver is.
+    let program = hub_program(100, 250);
     let hierarchy = ClassHierarchy::new(&program);
     let cfg = SupervisorConfig {
         ladder: LadderSpec::parse("2objH").unwrap(),
@@ -318,10 +323,11 @@ fn watchdog_enforces_wall_clock_deadline() {
         watchdog: true,
         warm_first_pass: None,
         warm_summaries: None,
+        park_first_rung: true,
     };
     let run = supervise(&program, &hierarchy, &cfg);
-    // Either the in-loop wall-clock check or the watchdog stops the rung;
-    // both surface as a structured exhaustion, never a hang.
+    // The watchdog's cancellation (or, in principle, the in-loop wall-clock
+    // check) stops the rung as a structured exhaustion, never a hang.
     assert_eq!(run.verdict, SupervisionVerdict::Exhausted);
     assert!(matches!(
         run.attempts[0].exhaustion,
@@ -345,6 +351,7 @@ fn external_cancellation_skips_remaining_rungs() {
         watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let run = supervise(&program, &hierarchy, &cfg);
     assert_eq!(run.verdict, SupervisionVerdict::Exhausted);
@@ -395,6 +402,7 @@ fn warm_first_pass_is_reused_when_budget_admits_it() {
         watchdog: false,
         warm_first_pass,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let warm_run = supervise(&program, &hierarchy, &cfg(Some(std::sync::Arc::new(warm))));
     let cold_run = supervise(&program, &hierarchy, &cfg(None));
@@ -434,6 +442,7 @@ fn warm_first_pass_is_rejected_when_budget_would_not_admit_it() {
         watchdog: false,
         warm_first_pass,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let warm_run = supervise(&program, &hierarchy, &cfg(Some(std::sync::Arc::new(warm))));
     let cold_run = supervise(&program, &hierarchy, &cfg(None));

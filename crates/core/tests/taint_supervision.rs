@@ -73,6 +73,7 @@ fn supervisor_config(ladder: &str, budget: Budget) -> SupervisorConfig {
         watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     }
 }
 

@@ -7,8 +7,9 @@
 //!   results, so its text rendering must be *byte-identical* across
 //!   repeated runs;
 //! - the **metric stream** holds values describing how the engine worked
-//!   (worklist drains), which must also be byte-identical across repeated
-//!   runs;
+//!   (worklist drains, words unioned, ids propagated, receiver calls,
+//!   instantiations, field-node lookups), which must also be
+//!   byte-identical across repeated runs;
 //! - spans, instants, and samples carry wall-clock timestamps and are never
 //!   compared.
 //!
@@ -80,6 +81,44 @@ fn counter_streams_are_run_invariant() {
     }
 }
 
+/// The solver's engine work counters land in the metric stream — never
+/// the counter stream — once per run, in a fixed order, and repeat exactly.
+#[test]
+fn engine_work_metrics_are_recorded_and_run_invariant() {
+    const ENGINE: [&str; 6] = [
+        "seq.worklist_drains",
+        "seq.words_unioned",
+        "seq.ids_propagated",
+        "seq.receiver_calls",
+        "seq.instantiations",
+        "seq.field_lookups",
+    ];
+    let program = dacapo::antlr().build();
+    let hierarchy = ClassHierarchy::new(&program);
+    let run = || {
+        let tele: TelemetryHandle = Some(Arc::new(Telemetry::new()));
+        let result = analyze_flavor(&program, &hierarchy, Flavor::OBJ2H, &traced_config(&tele));
+        assert!(result.outcome.is_complete());
+        let t = tele.as_deref().unwrap();
+        (t.metric_stream(), t.counter_stream_text())
+    };
+    let (metrics, counters) = run();
+    let names: Vec<&str> = metrics.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ENGINE, "one entry per engine counter, in order");
+    for (name, value) in &metrics {
+        assert!(*value > 0, "{name} recorded no work on a real run");
+        assert!(
+            !counters.contains(name.as_str()),
+            "{name} leaked into the counter stream"
+        );
+    }
+    assert_eq!(
+        run().0,
+        metrics,
+        "engine metrics differ between repeated runs"
+    );
+}
+
 /// Attaching a recorder never changes the analysis: canonical stats,
 /// projections, outcome — byte-identical on vs. off.
 #[test]
@@ -125,6 +164,7 @@ fn ladder_emits_one_rung_span_per_attempt() {
         watchdog: false,
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let run = supervise(&program, &hierarchy, &cfg);
     assert!(run.attempts.len() > 1, "ladder must actually degrade");

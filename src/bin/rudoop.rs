@@ -582,6 +582,7 @@ fn run_taint(
         watchdog: opts.timeout.is_some(),
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let tele = cfg.solver.telemetry.clone();
     let run = supervise(program, hierarchy, &cfg);
@@ -625,6 +626,7 @@ fn run_races(
         watchdog: opts.timeout.is_some(),
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let tele = cfg.solver.telemetry.clone();
     let run = supervise(program, hierarchy, &cfg);
@@ -657,6 +659,7 @@ fn run_ladder(
         watchdog: opts.timeout.is_some(),
         warm_first_pass: None,
         warm_summaries: None,
+        ..SupervisorConfig::default()
     };
     let run = supervise(program, hierarchy, &cfg);
     eprint!("{}", render_supervised(&run));

@@ -21,7 +21,8 @@
 //!   --inject SPEC        arm a deterministic fault (repeatable):
 //!                        drop-after-bytes=N[@req=K] | stall-ms=T@req=K |
 //!                        garbage-frame@req=K | cancel-mid-rung@req=K |
-//!                        hold@req=K (parked until shutdown)
+//!                        hold@req=K (parked until shutdown) |
+//!                        park-rung@req=K (rung 0 parked until its timeout)
 //!   --trace PATH         write a Chrome trace of the service spans
 //!                        (accept/queue/rung/respond lanes) at shutdown
 //!   --telemetry          print the telemetry summary at shutdown

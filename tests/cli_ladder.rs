@@ -52,6 +52,44 @@ fn degraded_ladder_exits_three() {
     assert!(text.contains("precision ("), "{text}");
 }
 
+/// The README's two budgeted ladder runs, pinned byte for byte: each
+/// rung's exhaustion point (`derivations=`), modeled memory (`bytes~`) and
+/// salvaged facts are deterministic and independent of how the solver
+/// stores its sets.
+fn assert_ladder_golden(args: &[&str], fixture: &str) {
+    let out = rudoop(args);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&path).expect("ladder golden present");
+    assert_eq!(stderr(&out), want, "ladder table drifted from {fixture}");
+    assert!(
+        out.stdout.is_empty(),
+        "ladder without reports keeps stdout empty"
+    );
+}
+
+#[test]
+fn readme_ladder_hsqldb_intro_b_is_byte_identical() {
+    assert_ladder_golden(
+        &[
+            "@hsqldb",
+            "--ladder",
+            "introspectiveB:2objH",
+            "--budget",
+            "2000000",
+        ],
+        "ladder_hsqldb_introB_2objH.txt",
+    );
+}
+
+#[test]
+fn readme_ladder_jython_default_is_byte_identical() {
+    assert_ladder_golden(
+        &["@jython", "--ladder", "default", "--budget", "2000000"],
+        "ladder_jython_default.txt",
+    );
+}
+
 #[test]
 fn exhausted_ladder_exits_four_and_salvages() {
     // Too small even for the insensitive rung.

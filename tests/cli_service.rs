@@ -243,11 +243,12 @@ fn shed_then_retried_query_matches_batch() {
 }
 
 /// A per-request wall-clock budget degrades down the ladder over the
-/// wire: `2objH` on hsqldb blows the timeout, the insensitive rung
+/// wire: the `park-rung` fault holds the `2objH` rung until the timeout
+/// cancels it (however fast the solver is), the insensitive rung
 /// completes, and the client exits with the degraded code 3.
 #[test]
 fn per_request_timeout_degrades_down_the_ladder() {
-    let daemon = Daemon::start("timeout", &["@hsqldb"]);
+    let daemon = Daemon::start("timeout", &["@hsqldb", "--inject", "park-rung@req=1"]);
     let out = rudoop(&[
         "query",
         "--addr",
