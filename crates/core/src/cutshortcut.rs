@@ -13,8 +13,8 @@
 //!
 //! This module is the deterministic pre-analysis: it builds the static
 //! pointer flow graph ([`rudoop_ir::FlowGraph`]), classifies methods
-//! against three syntactic patterns, and emits a [`CutSummary`] that the
-//! solver consumes at call-edge time:
+//! against three syntactic patterns, and emits a [`CutSummary`] whose
+//! [`RewriteTable`] the solver applies at call-edge time:
 //!
 //! - **identity parameter**: the parameter flows *only* into the method's
 //!   return through copies — cut the `arg → param` edge and shortcut
@@ -31,43 +31,18 @@
 //! transformed analysis sound and pointwise at least as precise as the
 //! context-insensitive baseline: each shortcut edge reroutes a flow the
 //! insensitive analysis merges through a shared callee variable. The
-//! executable Datalog reference model mirrors the same cuts rule for rule
-//! (`rudoop-datalog`), and differential tests pin the two byte-identical.
+//! executable Datalog reference model loads the same table through its
+//! rewrite rules (`rudoop-datalog`), and differential tests pin the two
+//! byte-identical.
+
+use std::sync::Arc;
 
 use rudoop_ir::{
     FieldId, FlowGraph, IdxVec, Instruction, Method, MethodId, Program, VarId, VarUse,
 };
 
+use crate::rewrite::{MethodRewrite, ParamRewrite, RetAtom, RewriteTable};
 use crate::telemetry::TelemetryHandle;
-
-/// How a formal parameter's incoming interprocedural edge is cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParamCut {
-    /// The parameter flows only to the method's return: replace
-    /// `arg → param` with a direct `arg → result` shortcut per call site.
-    Identity,
-    /// The parameter's only use is `this.field = param`: replace
-    /// `arg → param` with a per-call-site store of the actual into
-    /// `field` of the site's receiver objects.
-    Setter(FieldId),
-}
-
-/// The cut decisions for one method.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MethodCuts {
-    /// Per formal parameter (by position), the cut applied to its incoming
-    /// interprocedural edge, if any.
-    pub params: Vec<Option<ParamCut>>,
-    /// When the method is a getter of `this.field`, the field whose
-    /// per-site load replaces the `ret → result` edge.
-    pub getter_return: Option<FieldId>,
-}
-
-impl MethodCuts {
-    fn is_empty(&self) -> bool {
-        self.getter_return.is_none() && self.params.iter().all(Option::is_none)
-    }
-}
 
 /// Size counters of a [`CutSummary`] — the pass's stats block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,13 +87,14 @@ impl CutStats {
     }
 }
 
-/// The output of the cut-shortcut pre-analysis: per-method cut decisions
-/// plus pass statistics. Pure function of the program — two computations
-/// are identical, which the pass determinism test pins byte-for-byte via
+/// The output of the cut-shortcut pre-analysis: the cut decisions as a
+/// call-edge [`RewriteTable`] named `cutshortcut`, plus pass statistics.
+/// Pure function of the program — two computations are identical, which
+/// the pass determinism test pins byte-for-byte via
 /// [`CutSummary::render`].
 #[derive(Debug, Clone, Default)]
 pub struct CutSummary {
-    cuts: IdxVec<MethodId, MethodCuts>,
+    rewrites: Arc<RewriteTable>,
     /// Pass statistics.
     pub stats: CutStats,
 }
@@ -133,50 +109,39 @@ impl CutSummary {
             flow_uses: flow.use_count,
             ..CutStats::default()
         };
-        let mut cuts: IdxVec<MethodId, MethodCuts> = (0..program.methods.len())
-            .map(|_| MethodCuts::default())
-            .collect();
-        for (mid, method) in program.methods.iter() {
-            let mc = &mut cuts[mid];
-            mc.params = method
-                .params
-                .iter()
-                .map(|&p| classify_param(&flow, method, p))
-                .collect();
-            mc.getter_return = classify_getter(&flow, method);
-            for c in mc.params.iter().flatten() {
+        let mut methods: IdxVec<MethodId, MethodRewrite> = IdxVec::default();
+        for (_, method) in program.methods.iter() {
+            let mr = MethodRewrite {
+                params: method
+                    .params
+                    .iter()
+                    .map(|&p| classify_param(&flow, method, p))
+                    .collect(),
+                ret: classify_getter(&flow, method).map(|f| vec![RetAtom::ReceiverField(f)]),
+            };
+            for c in mr.params.iter().flatten() {
                 match c {
-                    ParamCut::Identity => stats.identity_params += 1,
-                    ParamCut::Setter(_) => stats.setter_params += 1,
+                    ParamRewrite::ToResult => stats.identity_params += 1,
+                    ParamRewrite::ToReceiverField(_) => stats.setter_params += 1,
                 }
             }
-            if mc.getter_return.is_some() {
+            if mr.ret.is_some() {
                 stats.getter_returns += 1;
             }
-            if !mc.is_empty() {
+            if !mr.is_empty() {
                 stats.methods_with_cuts += 1;
             }
+            methods.push(mr);
         }
-        CutSummary { cuts, stats }
+        CutSummary {
+            rewrites: Arc::new(RewriteTable::new("cutshortcut", methods)),
+            stats,
+        }
     }
 
-    /// The cut applied to parameter `index` of `method`, if any.
-    #[inline]
-    pub fn param_cut(&self, method: MethodId, index: usize) -> Option<ParamCut> {
-        self.cuts
-            .get(method)
-            .and_then(|mc| mc.params.get(index).copied().flatten())
-    }
-
-    /// The getter field of `method`, if its `ret → result` edges are cut.
-    #[inline]
-    pub fn getter_return(&self, method: MethodId) -> Option<FieldId> {
-        self.cuts.get(method).and_then(|mc| mc.getter_return)
-    }
-
-    /// The cut decisions of `method`.
-    pub fn method_cuts(&self, method: MethodId) -> Option<&MethodCuts> {
-        self.cuts.get(method)
+    /// The cut decisions as the solver's call-edge rewrite table.
+    pub fn rewrites(&self) -> &Arc<RewriteTable> {
+        &self.rewrites
     }
 
     /// Whether the pass found nothing to cut.
@@ -189,12 +154,12 @@ impl CutSummary {
     /// in method-table order, followed by a stats trailer.
     pub fn render(&self, program: &Program) -> String {
         let mut out = String::new();
-        for (mid, mc) in self.cuts.iter() {
-            for (i, cut) in mc.params.iter().enumerate() {
+        for (mid, mr) in self.rewrites.iter() {
+            for (i, cut) in mr.params.iter().enumerate() {
                 let Some(cut) = cut else { continue };
                 let param = program.methods[mid].params[i];
                 match cut {
-                    ParamCut::Identity => {
+                    ParamRewrite::ToResult => {
                         out.push_str(&format!(
                             "cut {}#arg{} ({}): identity; shortcut arg -> result\n",
                             program.method_display(mid),
@@ -202,7 +167,7 @@ impl CutSummary {
                             program.var_display(param),
                         ));
                     }
-                    ParamCut::Setter(field) => {
+                    ParamRewrite::ToReceiverField(field) => {
                         out.push_str(&format!(
                             "cut {}#arg{} ({}): setter of .{}; shortcut arg -> receiver.{}\n",
                             program.method_display(mid),
@@ -214,7 +179,7 @@ impl CutSummary {
                     }
                 }
             }
-            if let Some(field) = mc.getter_return {
+            if let Some(&[RetAtom::ReceiverField(field)]) = mr.ret.as_deref() {
                 out.push_str(&format!(
                     "cut {}#ret: getter of .{}; shortcut receiver.{} -> result\n",
                     program.method_display(mid),
@@ -241,12 +206,12 @@ impl CutSummary {
 
 /// Classifies one formal parameter against the identity and setter
 /// patterns.
-fn classify_param(flow: &FlowGraph, method: &Method, param: VarId) -> Option<ParamCut> {
+fn classify_param(flow: &FlowGraph, method: &Method, param: VarId) -> Option<ParamRewrite> {
     if let Some(field) = setter_param(flow, method, param) {
-        return Some(ParamCut::Setter(field));
+        return Some(ParamRewrite::ToReceiverField(field));
     }
     if identity_param(flow, method, param) {
-        return Some(ParamCut::Identity);
+        return Some(ParamRewrite::ToResult);
     }
     None
 }
@@ -360,9 +325,14 @@ mod tests {
     fn classic_patterns_are_recognized() {
         let (p, id_m, set_m, get_m) = patterns_program();
         let s = CutSummary::compute(&p);
-        assert_eq!(s.param_cut(id_m, 0), Some(ParamCut::Identity));
-        assert!(matches!(s.param_cut(set_m, 0), Some(ParamCut::Setter(_))));
-        assert!(s.getter_return(get_m).is_some());
+        let r = s.rewrites();
+        assert_eq!(r.param(id_m, 0), Some(ParamRewrite::ToResult));
+        assert!(matches!(
+            r.param(set_m, 0),
+            Some(ParamRewrite::ToReceiverField(_))
+        ));
+        assert!(matches!(r.ret(get_m), Some([RetAtom::ReceiverField(_)])));
+        assert_eq!(r.name(), "cutshortcut");
         assert_eq!(s.stats.cut_points(), 3);
         assert_eq!(s.stats.methods_with_cuts, 3);
     }
@@ -379,7 +349,7 @@ mod tests {
         b.entry(m);
         let p = b.finish();
         let s = CutSummary::compute(&p);
-        assert_eq!(s.param_cut(rudoop_ir::MethodId(0), 0), None);
+        assert_eq!(s.rewrites().param(rudoop_ir::MethodId(0), 0), None);
         assert!(s.is_empty());
     }
 
@@ -397,7 +367,7 @@ mod tests {
         b.entry(m);
         let p = b.finish();
         let s = CutSummary::compute(&p);
-        assert_eq!(s.param_cut(rudoop_ir::MethodId(0), 0), None);
+        assert_eq!(s.rewrites().param(rudoop_ir::MethodId(0), 0), None);
     }
 
     #[test]
@@ -413,8 +383,8 @@ mod tests {
         let p = b.finish();
         let s = CutSummary::compute(&p);
         assert_eq!(
-            s.param_cut(rudoop_ir::MethodId(0), 0),
-            Some(ParamCut::Identity)
+            s.rewrites().param(rudoop_ir::MethodId(0), 0),
+            Some(ParamRewrite::ToResult)
         );
     }
 
@@ -435,7 +405,7 @@ mod tests {
         b.entry(m);
         let p = b.finish();
         let s = CutSummary::compute(&p);
-        assert_eq!(s.getter_return(rudoop_ir::MethodId(0)), None);
+        assert_eq!(s.rewrites().ret(rudoop_ir::MethodId(0)), None);
     }
 
     #[test]

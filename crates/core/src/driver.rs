@@ -17,8 +17,8 @@ use crate::cutshortcut::CutSummary;
 use crate::heuristics::{RefinementHeuristic, RefinementStats};
 use crate::introspection::IntrospectionMetrics;
 use crate::policy::{
-    CallSiteSensitive, ContextPolicy, CutShortcut, HybridObjectSensitive, Insensitive,
-    Introspective, ObjectSensitive, RefinementSet, Summaries, TypeSensitive,
+    CallSiteSensitive, ContextPolicy, HybridObjectSensitive, Insensitive, Introspective,
+    ObjectSensitive, RefinementSet, TypeSensitive,
 };
 use crate::solver::{analyze, PointsToResult, SolverConfig};
 use crate::summaries::SummaryTable;
@@ -58,14 +58,14 @@ pub enum Flavor {
         /// Heap-context depth.
         heap_k: usize,
     },
-    /// The cut-shortcut engine: context-free, but with the flow-graph
-    /// cuts and per-call-site shortcut edges of the
-    /// [`crate::cutshortcut`] pre-analysis applied inside the solver.
+    /// The cut-shortcut engine: the insensitive policy, with the
+    /// flow-graph cuts and per-call-site shortcut edges of the
+    /// [`crate::cutshortcut`] pre-analysis applied as call-edge rewrites.
     CutShortcut,
-    /// The summary-based compositional engine: context-free, but every
-    /// call to a method the bottom-up [`crate::summaries`] pre-analysis
-    /// distilled gets its `ret → result` edge replaced by per-site
-    /// instantiations of the method's summary atoms.
+    /// The summary-based compositional engine: the insensitive policy,
+    /// but every call to a method the bottom-up [`crate::summaries`]
+    /// pre-analysis distilled gets its `ret → result` edge rewritten into
+    /// per-site instantiations of the method's summary atoms.
     Summaries,
 }
 
@@ -108,44 +108,40 @@ impl Flavor {
     /// The related-work hybrid `S2objH` configuration.
     pub const HYBRID2H: Flavor = Flavor::Hybrid { k: 2, heap_k: 1 };
 
-    /// Instantiates the policy for `program`.
+    /// Instantiates the policy for `program`. The two rewrite engines run
+    /// under [`Insensitive`]; their precision comes from the rewrite table
+    /// [`Flavor::prepare_config`] attaches.
     pub fn policy(self, program: &Program) -> Box<dyn ContextPolicy> {
         match self {
-            Flavor::Insensitive => Box::new(Insensitive),
+            Flavor::Insensitive | Flavor::CutShortcut | Flavor::Summaries => Box::new(Insensitive),
             Flavor::CallSite { k, heap_k } => Box::new(CallSiteSensitive::new(k, heap_k)),
             Flavor::Object { k, heap_k } => Box::new(ObjectSensitive::new(k, heap_k)),
             Flavor::Type { k, heap_k } => Box::new(TypeSensitive::new(k, heap_k, program)),
             Flavor::Hybrid { k, heap_k } => Box::new(HybridObjectSensitive::new(k, heap_k)),
-            Flavor::CutShortcut => Box::new(CutShortcut),
-            Flavor::Summaries => Box::new(Summaries),
         }
     }
 
-    /// Prepares the solver configuration for this flavor. For
-    /// [`Flavor::CutShortcut`] this runs the cut-shortcut pre-analysis
-    /// (under its `cutshortcut-pass` telemetry span, then records its
-    /// counters) and injects the summary into [`SolverConfig::cuts`]; for
-    /// [`Flavor::Summaries`] it runs the bottom-up summary pre-analysis
-    /// (likewise, under `summaries-pass`) and injects the table into
-    /// [`SolverConfig::summaries`] — unless a warm table is already
-    /// present (the daemon's warm-summary cache), in which case the warm
-    /// table is used as is. Every other flavor clears both fields so
-    /// pre-analyses never leak between rungs sharing a base config.
+    /// Prepares the solver configuration for this flavor by filling or
+    /// clearing its one pre-analysis field, [`SolverConfig::rewrites`].
+    /// [`Flavor::CutShortcut`] runs the cut-shortcut pass (under its
+    /// `cutshortcut-pass` telemetry span, then records its counters).
+    /// [`Flavor::Summaries`] reuses a warm table already in the field (the
+    /// supervisor puts the daemon's warm summary table there, on
+    /// `summaries` rungs only) and otherwise runs the bottom-up pass
+    /// likewise, under `summaries-pass`. Every other flavor clears the
+    /// field, so a table never leaks between rungs sharing a base config.
     pub fn prepare_config(self, program: &Program, config: &SolverConfig) -> SolverConfig {
         let mut config = config.clone();
         let tele = &config.telemetry;
-        config.cuts = match self {
+        config.rewrites = match self {
             Flavor::CutShortcut => {
                 let span = crate::telemetry::span_opt(tele, "cutshortcut-pass");
                 let cuts = CutSummary::compute(program);
                 drop(span);
                 cuts.stats.record(tele);
-                Some(Arc::new(cuts))
+                Some(Arc::clone(cuts.rewrites()))
             }
-            _ => None,
-        };
-        config.summaries = match self {
-            Flavor::Summaries => match config.summaries.take() {
+            Flavor::Summaries => match config.rewrites.take() {
                 Some(warm) => Some(warm),
                 None => {
                     let hierarchy = ClassHierarchy::new(program);
@@ -153,7 +149,7 @@ impl Flavor {
                     let table = SummaryTable::compute(program, &hierarchy);
                     drop(span);
                     table.stats.record(tele);
-                    Some(Arc::new(table))
+                    Some(Arc::clone(table.rewrites()))
                 }
             },
             _ => None,
@@ -163,7 +159,10 @@ impl Flavor {
 
     /// Doop-style name (`insens`, `2objH`, …).
     pub fn name(self, program: &Program) -> String {
-        self.policy(program).name()
+        match self {
+            Flavor::CutShortcut | Flavor::Summaries => self.spec_name(),
+            _ => self.policy(program).name(),
+        }
     }
 
     /// Parses a Doop-style flavor name: `insens`, `cutshortcut`, `2objH`,
@@ -331,21 +330,16 @@ pub fn analyze_introspective_from(
     let selection_time = select_start.elapsed();
 
     let result = match flavor {
-        Flavor::Insensitive => analyze(program, hierarchy, &Insensitive, config),
-        // Cut-shortcut precision is not per-element, so there is nothing
-        // for the refinement sets to select: like the insensitive arm, the
-        // selection is computed (for its stats) but does not steer the run.
-        Flavor::CutShortcut => {
-            let config = Flavor::CutShortcut.prepare_config(program, config);
-            analyze(program, hierarchy, &CutShortcut, &config)
-        }
-        // Summary precision is likewise not per-element: the distilled
-        // table applies at every call site, so the refinement sets are
-        // computed (for their stats) but do not steer the run.
-        Flavor::Summaries => {
-            let config = Flavor::Summaries.prepare_config(program, config);
-            analyze(program, hierarchy, &Summaries, &config)
-        }
+        // Neither rewrite engine's precision is per-element, so there is
+        // nothing for the refinement sets to select: like the insensitive
+        // arm, the selection is computed (for its stats) but does not
+        // steer the run.
+        Flavor::Insensitive | Flavor::CutShortcut | Flavor::Summaries => analyze(
+            program,
+            hierarchy,
+            &Insensitive,
+            &flavor.prepare_config(program, config),
+        ),
         Flavor::CallSite { k, heap_k } => {
             let policy = Introspective::new(
                 Insensitive,

@@ -65,6 +65,7 @@ pub mod introspection;
 pub mod json;
 pub mod policy;
 pub mod races;
+pub mod rewrite;
 pub mod service;
 pub mod solver;
 pub mod stats;
@@ -75,7 +76,7 @@ pub mod telemetry;
 
 pub use clients::PrecisionMetrics;
 pub use context::{CObj, ContextElem, CtxId, CtxTables, HCtxId};
-pub use cutshortcut::{CutStats, CutSummary, MethodCuts, ParamCut};
+pub use cutshortcut::{CutStats, CutSummary};
 pub use driver::{
     analyze_flavor, analyze_introspective, Flavor, FlavorParseError, IntrospectiveRun,
 };
@@ -84,19 +85,20 @@ pub use heuristics::{
 };
 pub use introspection::IntrospectionMetrics;
 pub use policy::{
-    CallSiteSensitive, ContextPolicy, CutShortcut, HybridObjectSensitive, Insensitive,
-    Introspective, ObjectSensitive, RefinementSet, Summaries, TypeSensitive,
+    CallSiteSensitive, ContextPolicy, HybridObjectSensitive, Insensitive, Introspective,
+    ObjectSensitive, RefinementSet, TypeSensitive,
 };
 pub use races::{
     analyze_races, supervised_races, Race, RaceAccess, RaceError, RaceKey, RaceResult,
     SupervisedRaces,
 };
+pub use rewrite::{MethodRewrite, ParamRewrite, RetAtom, RewriteTable};
 pub use solver::{
     analyze, Budget, CancelToken, ExhaustionCause, Outcome, PointsToResult, SolverConfig,
     SolverError, SolverStats,
 };
 pub use stats::{render_supervised, ResultStats, SizeHistogram};
-pub use summaries::{MethodSummary, SummaryAtom, SummaryStats, SummaryTable};
+pub use summaries::{SummaryStats, SummaryTable};
 pub use supervisor::{
     supervise, HeuristicChoice, LadderSpec, RungKind, RungReport, RungSpec, SalvagedFacts,
     SupervisedRun, SupervisionVerdict, SupervisorConfig,

@@ -110,95 +110,6 @@ impl ContextPolicy for Insensitive {
     }
 }
 
-/// The cut-shortcut policy: context-free like [`Insensitive`] — every
-/// context is `★` — but under a distinct analysis name, because its
-/// precision does not come from contexts at all. The solver applies the
-/// flow-graph cuts and shortcut edges of a precomputed
-/// [`crate::cutshortcut::CutSummary`] (carried in
-/// [`crate::solver::SolverConfig::cuts`]) at every call edge, rerouting
-/// per-site value flow that the plain insensitive analysis would merge
-/// through shared formals. The distinct name keeps reports, telemetry
-/// counters and the differential reference model apart from `insens`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CutShortcut;
-
-impl ContextPolicy for CutShortcut {
-    fn name(&self) -> String {
-        "cutshortcut".to_owned()
-    }
-
-    fn record(&self, _tables: &mut CtxTables, _heap: AllocId, _ctx: CtxId) -> HCtxId {
-        HCtxId::EMPTY
-    }
-
-    fn merge(
-        &self,
-        _tables: &mut CtxTables,
-        _heap: AllocId,
-        _hctx: HCtxId,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
-    }
-
-    fn merge_static(
-        &self,
-        _tables: &mut CtxTables,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
-    }
-}
-
-/// The summary-based compositional policy: context-free like
-/// [`Insensitive`] — every context is `★` — but under a distinct analysis
-/// name, because its precision comes from bottom-up method summaries, not
-/// contexts. The solver replaces the conflating `ret → result` edge of
-/// every call to a distilled method with per-site instantiations of the
-/// method's [`crate::summaries::SummaryAtom`]s (carried in
-/// [`crate::solver::SolverConfig::summaries`]); non-distilled methods keep
-/// the ordinary edge — the hybrid split. The distinct name keeps reports,
-/// telemetry counters and the differential reference model apart from
-/// `insens` and `cutshortcut`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Summaries;
-
-impl ContextPolicy for Summaries {
-    fn name(&self) -> String {
-        "summaries".to_owned()
-    }
-
-    fn record(&self, _tables: &mut CtxTables, _heap: AllocId, _ctx: CtxId) -> HCtxId {
-        HCtxId::EMPTY
-    }
-
-    fn merge(
-        &self,
-        _tables: &mut CtxTables,
-        _heap: AllocId,
-        _hctx: HCtxId,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
-    }
-
-    fn merge_static(
-        &self,
-        _tables: &mut CtxTables,
-        _invoke: InvokeId,
-        _target: MethodId,
-        _caller: CtxId,
-    ) -> CtxId {
-        CtxId::EMPTY
-    }
-}
-
 /// k-call-site-sensitivity with a heap-context depth (`2callH` is
 /// `CallSiteSensitive::new(2, 1)`).
 ///
@@ -750,8 +661,6 @@ mod tests {
     fn policy_names_are_doop_style() {
         let program = tiny_program();
         assert_eq!(Insensitive.name(), "insens");
-        assert_eq!(CutShortcut.name(), "cutshortcut");
-        assert_eq!(Summaries.name(), "summaries");
         assert_eq!(CallSiteSensitive::new(2, 1).name(), "2callH");
         assert_eq!(ObjectSensitive::new(2, 1).name(), "2objH");
         assert_eq!(TypeSensitive::new(2, 1, &program).name(), "2typeH");

@@ -9,7 +9,7 @@
 //! `enter` waiting for a slot; everyone past that is shed with a
 //! `retry_after_ms` hint proportional to the backlog.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The typed shed decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +60,19 @@ impl Admission {
         }
     }
 
+    /// The slot counts. Every update under the lock is a complete
+    /// counter step, so a lock poisoned by a panicking holder still guards
+    /// consistent counts: recover it rather than fail every later request
+    /// (or leak a slot on the release path).
+    fn slots(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Admits the request (blocking in the queue if needed) or sheds it.
     /// The decision to shed is made synchronously under the lock: once
     /// this returns a guard, the request *will* run.
     pub fn enter(&self) -> Result<AdmissionGuard<'_>, Shed> {
-        let mut slots = self.slots.lock().expect("admission lock");
+        let mut slots = self.slots();
         if slots.active < self.workers {
             slots.active += 1;
             return Ok(AdmissionGuard {
@@ -83,7 +91,10 @@ impl Admission {
         slots.waiting += 1;
         let queued_behind = slots.waiting;
         while slots.active >= self.workers {
-            slots = self.freed.wait(slots).expect("admission lock");
+            slots = self
+                .freed
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         slots.waiting -= 1;
         slots.active += 1;
@@ -95,14 +106,14 @@ impl Admission {
 
     /// Current (active, waiting) occupancy — for queue-depth samples.
     pub fn occupancy(&self) -> (usize, usize) {
-        let slots = self.slots.lock().expect("admission lock");
+        let slots = self.slots();
         (slots.active, slots.waiting)
     }
 }
 
 impl Drop for AdmissionGuard<'_> {
     fn drop(&mut self) {
-        let mut slots = self.gate.slots.lock().expect("admission lock");
+        let mut slots = self.gate.slots();
         slots.active -= 1;
         drop(slots);
         self.gate.freed.notify_one();
@@ -138,5 +149,25 @@ mod tests {
         assert_eq!(shed.retry_after_ms, 2 * Admission::RETRY_UNIT_MS);
         drop(a);
         waiter.join().expect("waiter thread");
+    }
+
+    #[test]
+    fn poisoned_lock_still_grants_and_releases_slots() {
+        let gate = Arc::new(Admission::new(1, 0));
+        let poisoner = Arc::clone(&gate);
+        let panicked = std::thread::spawn(move || {
+            let _held = poisoner.slots.lock().unwrap();
+            panic!("poison the admission lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(gate.slots.is_poisoned());
+        let g = gate.enter().expect("slot granted under a poisoned lock");
+        assert_eq!(gate.occupancy(), (1, 0));
+        assert!(gate.enter().is_err(), "the only slot is taken");
+        drop(g);
+        assert_eq!(gate.occupancy(), (0, 0), "released slot is not leaked");
+        drop(gate.enter().expect("slot reusable after release"));
+        assert_eq!(gate.occupancy(), (0, 0));
     }
 }

@@ -30,19 +30,19 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use rudoop_ir::{ClassHierarchy, Program, TaintSpec};
 
 use crate::driver::Flavor;
 use crate::policy::Insensitive;
-use crate::races::supervised_races_traced;
+use crate::races::supervised_races;
 use crate::solver::{analyze, Budget, CancelToken, PointsToResult, SolverConfig};
 use crate::stats::{render_dump, render_pts, ResultStats};
 use crate::summaries::SummaryTable;
 use crate::supervisor::{supervise, LadderSpec, RungKind, SupervisedRun, SupervisorConfig};
-use crate::taint::supervised_taint_traced;
+use crate::taint::supervised_taint;
 use crate::telemetry::TelemetryHandle;
 
 pub mod admission;
@@ -265,10 +265,13 @@ impl ServiceState {
         if !wants {
             return None;
         }
+        // A panic inside the pass leaves the slot empty, so a poisoned
+        // lock still guards a consistent cache: recover it, and the next
+        // request recomputes.
         let mut slot = self
             .warm_summary_table
             .lock()
-            .expect("summary cache poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
         match &*slot {
             Some(table) => {
                 self.counters
@@ -358,7 +361,6 @@ impl ServiceState {
     /// Renders the document for a completed run — the exact bytes the
     /// batch CLI prints on stdout for the same query.
     fn render_doc(&self, query: &QueryRequest, run: &SupervisedRun) -> Result<String, String> {
-        let none = TelemetryHandle::default();
         match query.kind.as_str() {
             "taint" => {
                 let spec = self
@@ -366,14 +368,14 @@ impl ServiceState {
                     .taint_spec
                     .as_ref()
                     .ok_or("daemon started without --taint-spec; taint queries unavailable")?;
-                let taint = supervised_taint_traced(&self.program, spec, run, &none);
+                let taint = supervised_taint(&self.program, spec, run);
                 Ok(match query.format {
                     DocFormat::Json => crate::taint::render_json(&self.program, &taint),
                     DocFormat::Text => crate::taint::render_text(&self.program, &taint),
                 })
             }
             "races" => {
-                let races = supervised_races_traced(&self.program, run, &none);
+                let races = supervised_races(&self.program, run);
                 Ok(match query.format {
                     DocFormat::Json => crate::races::render_json(&self.program, &races),
                     DocFormat::Text => crate::races::render_text(&races),
@@ -423,5 +425,56 @@ impl Executed {
             response: Response::Error { message },
             degraded: false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rudoop_ir::ProgramBuilder;
+
+    /// `main` calls a getter on a box, so the summary table distills a
+    /// receiver-field atom.
+    fn box_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        let obj = b.class("Object", None);
+        let box_c = b.class("Box", Some(obj));
+        let f = b.field(box_c, "val");
+        let get_m = b.method(box_c, "get", &[], false);
+        let this = b.this(get_m);
+        let r = b.var(get_m, "r");
+        b.load(get_m, r, this, f);
+        b.ret(get_m, r);
+        let main = b.method(obj, "main", &[], true);
+        let bx = b.var(main, "bx");
+        let o = b.var(main, "o");
+        b.alloc(main, bx, box_c);
+        b.vcall(main, Some(o), bx, "get", &[]);
+        b.entry(main);
+        b.finish()
+    }
+
+    #[test]
+    fn warm_summaries_survive_a_poisoned_cache_lock() {
+        let program = box_program();
+        let cold = SummaryTable::compute(&program, &ClassHierarchy::new(&program)).render(&program);
+        let state = ServiceState::new(program, ServiceConfig::default());
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = state.warm_summary_table.lock().unwrap();
+                panic!("a panic inside the summaries pass");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(state.warm_summary_table.is_poisoned());
+        let ladder = LadderSpec::parse("summaries").unwrap();
+        for _ in 0..2 {
+            let table = state.warm_summaries(&ladder).expect("summaries ladder");
+            assert_eq!(table.render(&state.program), cold);
+        }
+        let c = &state.counters;
+        assert_eq!(c.summary_cache_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(c.summary_cache_hits.load(Ordering::Relaxed), 1);
     }
 }

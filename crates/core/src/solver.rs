@@ -36,6 +36,7 @@ use crate::bitset::{IdBitSet, SparseBitSet};
 use crate::context::{CObj, CtxId, CtxTables, HCtxId};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::policy::ContextPolicy;
+use crate::rewrite::{ParamRewrite, RetAtom};
 
 /// Resource limits for one solver run.
 ///
@@ -287,18 +288,14 @@ pub struct SolverConfig {
     /// Capacity cap on each context table (default: the `u32` intrinsic
     /// limit). Exceeding it yields [`Outcome::CapacityExceeded`].
     pub max_contexts: Option<usize>,
-    /// Cut-shortcut pre-analysis output. When present, the solver cuts the
-    /// interprocedural `arg → param` / `ret → result` edges the summary
-    /// marks and reroutes them per call site (identity shortcuts,
-    /// caller-side stores and loads) — the [`crate::cutshortcut`] engine.
+    /// Call-edge rewrites of a context-free pre-analysis (the
+    /// [`crate::cutshortcut`] or [`crate::summaries`] pass). When present,
+    /// every call edge reroutes the parameters and returns the table
+    /// marks (see [`crate::rewrite`]) and the run reports the table's
+    /// analysis name. Only meaningful under the insensitive policy: a
+    /// `Formal` return atom reads its formal under the callee context.
     /// `None` (the default) analyzes every call edge as written.
-    pub cuts: Option<Arc<crate::cutshortcut::CutSummary>>,
-    /// Summary-table output of the bottom-up compositional pre-analysis.
-    /// When present, the solver replaces the `ret → result` edge of every
-    /// call to a distilled method with per-site instantiations of its
-    /// summary atoms — the [`crate::summaries`] engine. `None` (the
-    /// default) analyzes every return edge as written.
-    pub summaries: Option<Arc<crate::summaries::SummaryTable>>,
+    pub rewrites: Option<Arc<crate::rewrite::RewriteTable>>,
     /// Optional telemetry recorder. Instrumentation never feeds back into
     /// the analysis: results are byte-identical with and without it.
     pub telemetry: crate::telemetry::TelemetryHandle,
@@ -425,7 +422,8 @@ impl CsDump {
 /// contexts collapsed.
 #[derive(Debug, Clone)]
 pub struct PointsToResult {
-    /// `policy.name()` of the run.
+    /// The analysis name: the rewrite table's name when
+    /// [`SolverConfig::rewrites`] is set, otherwise `policy.name()`.
     pub analysis: String,
     /// Completion status.
     pub outcome: Outcome,
@@ -803,27 +801,28 @@ impl<'p> Solver<'p> {
         let inv = &self.program.invokes[invoke];
         let callee_m = &self.program.methods[target];
         let n_args = inv.args.len().min(callee_m.params.len());
-        let cuts = self.config.cuts.clone();
-        let cuts = cuts.as_deref();
+        let rewrites = self.config.rewrites.clone();
+        let rewrites = rewrites.as_deref();
+        let result = self.program.invokes[invoke].result;
         for i in 0..n_args {
             let arg = self.program.invokes[invoke].args[i];
-            match cuts.and_then(|c| c.param_cut(target, i)) {
-                // Identity cut: the actual flows straight to the call's
-                // result, never through the shared formal. A result-less
-                // call site drops the value entirely (the callee provably
-                // only returned it).
-                Some(crate::cutshortcut::ParamCut::Identity) => {
-                    if let Some(result) = self.program.invokes[invoke].result {
+            match rewrites.and_then(|r| r.param(target, i)) {
+                // Identity: the actual flows straight to the call's result,
+                // never through the shared formal. A result-less call site
+                // drops the value entirely (the callee provably only
+                // returned it).
+                Some(ParamRewrite::ToResult) => {
+                    if let Some(result) = result {
                         let from = self.var_node(arg, caller)?;
                         let to = self.var_node(result, caller)?;
                         self.add_edge(from, to);
                     }
                 }
-                // Setter cut: store the actual into the field of *this
-                // site's* receiver objects — registered on the base
-                // variable exactly like a `Store` instruction, so later
-                // receivers are handled by the worklist.
-                Some(crate::cutshortcut::ParamCut::Setter(field)) => {
+                // Setter: store the actual into the field of *this site's*
+                // receiver objects — registered on the base variable
+                // exactly like a `Store` instruction, so later receivers
+                // are handled by the worklist.
+                Some(ParamRewrite::ToReceiverField(field)) => {
                     if let Some(base) = self.invoke_base(invoke) {
                         let b = self.var_node(base, caller)?;
                         let f = self.var_node(arg, caller)?;
@@ -841,77 +840,37 @@ impl<'p> Solver<'p> {
                 }
             }
         }
-        if let (Some(result), Some(ret)) = (
-            self.program.invokes[invoke].result,
-            self.program.methods[target].ret,
-        ) {
-            // Distilled summary: instantiate the callee's atoms at this
-            // site instead of the conflating `ret → result` edge — the
-            // summary-based compositional engine.
-            let summaries = self.config.summaries.clone();
-            if let Some(atoms) = summaries.as_deref().and_then(|t| t.distilled_atoms(target)) {
-                self.instantiate_summary(invoke, caller, callee, result, atoms)?;
-                return Ok(());
-            }
-            // Getter cut: load the field off *this site's* receiver objects
-            // straight into the result, skipping the shared formal return.
-            let getter = cuts
-                .and_then(|c| c.getter_return(target))
-                .and_then(|field| self.invoke_base(invoke).map(|base| (field, base)));
-            if let Some((field, base)) = getter {
-                let b = self.var_node(base, caller)?;
-                let to = self.var_node(result, caller)?;
-                self.loads[b.0 as usize].push((field, to));
-                for o in self.objs_of(b) {
-                    let fnode = self.field_node(o, field)?;
-                    self.add_edge(fnode, to);
-                }
-            } else {
-                let from = self.var_node(ret, callee)?;
-                let to = self.var_node(result, caller)?;
-                self.add_edge(from, to);
-            }
-        }
-        Ok(())
-    }
-
-    /// Instantiates a distilled method summary at one call site: each atom
-    /// becomes a shortcut edge from the callee's formal parameter
-    /// (`ParamToRet`) or the global slot (`GlobalToRet`), a
-    /// receiver-registered load (`ThisFieldToRet`, handled exactly like a
-    /// getter cut), or a direct object insertion (`AllocToRet`, under the
-    /// empty heap context the summaries policy records).
-    ///
-    /// `ParamToRet` deliberately reads the *formal* parameter (the union
-    /// over all call sites) of the method the atom names — the summarized
-    /// callee itself, or a transitive callee for atoms inherited through
-    /// composition — not this site's actual argument: a per-site argument
-    /// edge would make summaries strictly more precise than `2objH`
-    /// wherever that flavor conflates call sites (static calls, shared
-    /// receiver objects, conflated inner callees), breaking the pinned
-    /// soundness chain `pts(2objH) ⊆ pts(summaries)`. The per-site
-    /// precision win comes from `ThisFieldToRet`, which filters the field
-    /// read through this site's receiver objects only. The formal is read
-    /// under `callee` — the summaries policy is context-free, so this is
-    /// the single context every method runs under.
-    fn instantiate_summary(
-        &mut self,
-        invoke: InvokeId,
-        caller: CtxId,
-        callee: CtxId,
-        result: VarId,
-        atoms: &[crate::summaries::SummaryAtom],
-    ) -> Result<(), SolverError> {
-        use crate::summaries::SummaryAtom;
+        let (Some(result), Some(ret)) = (result, self.program.methods[target].ret) else {
+            return Ok(());
+        };
+        let Some(atoms) = rewrites.and_then(|r| r.ret(target)) else {
+            let from = self.var_node(ret, callee)?;
+            let to = self.var_node(result, caller)?;
+            self.add_edge(from, to);
+            return Ok(());
+        };
         let to = self.var_node(result, caller)?;
+        // Rewritten return: each atom feeds the result directly instead of
+        // the conflating `ret → result` edge. `Formal` deliberately reads
+        // the *formal* parameter (the union over all call sites) of the
+        // method it names — the callee itself, or a transitive callee for
+        // summary atoms inherited through composition — not this site's
+        // actual: a per-site argument edge would make summaries strictly
+        // more precise than `2objH` wherever that flavor conflates call
+        // sites, breaking the pinned soundness chain
+        // `pts(2objH) ⊆ pts(summaries)`. The formal is read under `callee`,
+        // the single context of the insensitive policy rewrites run under.
+        // `ReceiverField` (a getter cut or a summary field atom) loads the
+        // field off *this site's* receiver objects only — where the
+        // precision over insensitivity comes from.
         for &atom in atoms {
             match atom {
-                SummaryAtom::ParamToRet(m, i) => {
+                RetAtom::Formal(m, i) => {
                     let param = self.program.methods[m].params[i];
                     let from = self.var_node(param, callee)?;
                     self.add_edge(from, to);
                 }
-                SummaryAtom::ThisFieldToRet(field) => {
+                RetAtom::ReceiverField(field) => {
                     if let Some(base) = self.invoke_base(invoke) {
                         let b = self.var_node(base, caller)?;
                         self.loads[b.0 as usize].push((field, to));
@@ -921,11 +880,11 @@ impl<'p> Solver<'p> {
                         }
                     }
                 }
-                SummaryAtom::AllocToRet(h) => {
+                RetAtom::Alloc(h) => {
                     let obj = self.intern(CObj::new(h, HCtxId::EMPTY));
                     self.add_obj(to, obj);
                 }
-                SummaryAtom::GlobalToRet(g) => {
+                RetAtom::Global(g) => {
                     let from = self.global_node(g)?;
                     self.add_edge(from, to);
                 }
@@ -1118,11 +1077,18 @@ impl<'p> Solver<'p> {
         None
     }
 
+    fn analysis_name(&self) -> String {
+        match &self.config.rewrites {
+            Some(table) => table.name().to_owned(),
+            None => self.policy.name(),
+        }
+    }
+
     fn run(mut self) -> PointsToResult {
         let tele = self.config.telemetry.clone();
         let span = crate::telemetry::span_opt(&tele, "solve");
         if let Some(span) = &span {
-            span.arg("analysis", self.policy.name());
+            span.arg("analysis", self.analysis_name());
         }
         for &entry in &self.program.entry_points {
             self.ensure_reachable(entry, CtxId::EMPTY);
@@ -1314,7 +1280,7 @@ impl<'p> Solver<'p> {
         };
 
         PointsToResult {
-            analysis: self.policy.name(),
+            analysis: self.analysis_name(),
             outcome: match self.exhausted {
                 None => Outcome::Complete,
                 Some(cause) if cause.is_capacity() => Outcome::CapacityExceeded,

@@ -5,26 +5,27 @@
 //! instantiates it at every call site, instead of re-analyzing the body
 //! under c cloned contexts the way 2objH does. This module is that
 //! pre-analysis for the `summaries` [`crate::driver::Flavor`]: it distills
-//! each method's *return behavior* into a small atom language and the
-//! solver replaces the conflating `ret → result` interprocedural edge with
-//! per-call-site instantiations of the atoms.
+//! each method's *return behavior* into a small atom language, emitted as
+//! the return half of a call-edge [`RewriteTable`], and the solver replaces
+//! the conflating `ret → result` interprocedural edge with per-call-site
+//! instantiations of the atoms.
 //!
-//! The summary language ([`SummaryAtom`]) says where the values a method
+//! The summary language ([`RetAtom`]) says where the values a method
 //! returns come from:
 //!
-//! - `ParamToRet(m, i)` — from the `i`-th formal parameter of method `m`
+//! - `Formal(m, i)` — from the `i`-th formal parameter of method `m`
 //!   (instantiated against the *formal*, i.e. the union over call sites —
 //!   see below; `m` is the summarized method itself or, for atoms
 //!   inherited through composition, a transitive callee),
-//! - `ThisFieldToRet(f)` — from field `f` of the call site's receiver,
-//! - `AllocToRet(h)` — from allocation site `h` inside the callee (or a
+//! - `ReceiverField(f)` — from field `f` of the call site's receiver,
+//! - `Alloc(h)` — from allocation site `h` inside the callee (or a
 //!   transitive callee),
-//! - `GlobalToRet(g)` — from static field `g`.
+//! - `Global(g)` — from static field `g`.
 //!
 //! A method is **distilled** when *every* source of its formal return's
 //! backward copy slice is atom-expressible — including results of calls to
 //! other distilled methods, whose atoms compose transitively: an inner
-//! `ParamToRet(m, j)` is inherited *verbatim*, still pointing at the inner
+//! `Formal(m, j)` is inherited *verbatim*, still pointing at the inner
 //! formal. Methods inside one SCC are iterated to a local fixpoint with
 //! optimistic initial assumptions (distilled, no atoms): atoms only grow
 //! and distilled only flips to fallback, so the iteration terminates at
@@ -40,13 +41,13 @@
 //! closure, so `pts(summaries) ⊆ pts(insens)`. For the other direction,
 //! `pts(2objH) ⊆ pts(summaries)`, the atoms cover every source of the
 //! return slice and each atom instantiates *no finer than* `2objH`:
-//! `ParamToRet` reads the shared formal (a per-site actual-argument edge
+//! `Formal` reads the shared formal (a per-site actual-argument edge
 //! would out-precision `2objH` exactly where it conflates call sites —
 //! static calls, shared receiver objects). Composition inherits inner
-//! `ParamToRet` atoms verbatim for the same reason transitively: `2objH`
+//! `Formal` atoms verbatim for the same reason transitively: `2objH`
 //! can conflate the *inner* callee's contexts too, delivering other
 //! callers' arguments through an intermediate call, so the composed atom
-//! must read the inner formal's full union. `ThisFieldToRet` filters
+//! must read the inner formal's full union. `ReceiverField` filters
 //! the field read through this site's receiver objects, which `2objH`'s
 //! receiver-keyed contexts also separate. The engine's precision over
 //! insensitivity therefore comes from the receiver-filtered field atoms —
@@ -55,44 +56,21 @@
 //! statically-bound callees and SCC fixpoints.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use rudoop_ir::{
-    AllocId, ClassHierarchy, FieldId, FlowGraph, GlobalId, IdxVec, Instruction, InvokeKind,
-    MethodId, Program, SccDag, VarId,
+    ClassHierarchy, FlowGraph, IdxVec, Instruction, InvokeKind, MethodId, Program, SccDag, VarId,
 };
 
 use crate::hash::FxHashSet;
+use crate::rewrite::{MethodRewrite, RetAtom, RewriteTable};
 use crate::telemetry::TelemetryHandle;
 
-/// One distilled source of a method's return values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SummaryAtom {
-    /// The `i`-th formal parameter of `m` flows to the result
-    /// (instantiated against the shared formal, the union over all call
-    /// sites). `m` is the summarized method itself for a direct
-    /// `return param` slice and a transitive callee for atoms inherited
-    /// through composition — the composed atom keeps pointing at the
-    /// *inner* formal because that is the conflation point every
-    /// context-sensitive flavor can reach (see the module docs).
-    ParamToRet(MethodId, usize),
-    /// Field `f` of the call site's receiver objects flows to the result.
-    ThisFieldToRet(FieldId),
-    /// Objects of allocation site `h` flow to the result.
-    AllocToRet(AllocId),
-    /// The static field `g`'s objects flow to the result.
-    GlobalToRet(GlobalId),
-}
-
-/// The distilled transfer behavior of one method.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MethodSummary {
-    /// Whether the return slice was fully distilled. When `false`, call
-    /// sites keep the ordinary `ret → result` edge (hybrid fallback).
-    pub distilled: bool,
-    /// The atoms, sorted and deduplicated. Empty for a distilled method
-    /// means *nothing* flows to its return.
-    pub atoms: Vec<SummaryAtom>,
-}
+/// The distilled return behavior of one method: its atoms, sorted and
+/// deduplicated, or `None` when the return slice could not be distilled
+/// and call sites keep the ordinary `ret → result` edge (hybrid
+/// fallback). `Some` of no atoms means *nothing* flows to the return.
+type Summary = Option<Vec<RetAtom>>;
 
 /// Size counters of a [`SummaryTable`] — the pass's stats block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,13 +83,13 @@ pub struct SummaryStats {
     pub distilled: usize,
     /// Returning methods on the hybrid fallback path.
     pub fallback: usize,
-    /// `ParamToRet` atoms across all distilled methods.
+    /// `Formal` atoms across all distilled methods.
     pub param_atoms: usize,
-    /// `ThisFieldToRet` atoms.
+    /// `ReceiverField` atoms.
     pub field_atoms: usize,
-    /// `AllocToRet` atoms.
+    /// `Alloc` atoms.
     pub alloc_atoms: usize,
-    /// `GlobalToRet` atoms.
+    /// `Global` atoms.
     pub global_atoms: usize,
     /// Strongly connected components of the static call graph.
     pub sccs: usize,
@@ -147,11 +125,12 @@ impl SummaryStats {
 }
 
 /// The output of the summary pre-analysis: per-method distilled summaries
+/// as the return half of a call-edge [`RewriteTable`] named `summaries`,
 /// plus pass statistics. A pure function of the program, which the engine
 /// tests pin via [`SummaryTable::render`].
 #[derive(Debug, Clone, Default)]
 pub struct SummaryTable {
-    summaries: IdxVec<MethodId, MethodSummary>,
+    rewrites: Arc<RewriteTable>,
     /// Pass statistics.
     pub stats: SummaryStats,
 }
@@ -169,53 +148,47 @@ impl SummaryTable {
             levels: dag.levels.len(),
             ..SummaryStats::default()
         };
-        let mut summaries: IdxVec<MethodId, MethodSummary> = (0..program.methods.len())
-            .map(|_| MethodSummary::default())
+        let mut methods: IdxVec<MethodId, MethodRewrite> = (0..program.methods.len())
+            .map(|_| MethodRewrite::default())
             .collect();
 
         for &comp in dag.levels.iter().flatten() {
-            let (solved, rounds) = distill_component(program, &flow, &dag, comp, &summaries);
+            let (solved, rounds) = distill_component(program, &flow, &dag, comp, &methods);
             stats.max_rounds = stats.max_rounds.max(rounds);
             for (m, s) in solved {
-                summaries[m] = s;
+                methods[m].ret = s;
             }
         }
 
-        for (mid, s) in summaries.iter() {
+        for (mid, mr) in methods.iter() {
             if program.methods[mid].ret.is_none() {
                 continue;
             }
             stats.methods_with_ret += 1;
-            if s.distilled {
-                stats.distilled += 1;
-                for atom in &s.atoms {
-                    match atom {
-                        SummaryAtom::ParamToRet(..) => stats.param_atoms += 1,
-                        SummaryAtom::ThisFieldToRet(_) => stats.field_atoms += 1,
-                        SummaryAtom::AllocToRet(_) => stats.alloc_atoms += 1,
-                        SummaryAtom::GlobalToRet(_) => stats.global_atoms += 1,
-                    }
-                }
-            } else {
+            let Some(atoms) = &mr.ret else {
                 stats.fallback += 1;
+                continue;
+            };
+            stats.distilled += 1;
+            for atom in atoms {
+                match atom {
+                    RetAtom::Formal(..) => stats.param_atoms += 1,
+                    RetAtom::ReceiverField(_) => stats.field_atoms += 1,
+                    RetAtom::Alloc(_) => stats.alloc_atoms += 1,
+                    RetAtom::Global(_) => stats.global_atoms += 1,
+                }
             }
         }
-        SummaryTable { summaries, stats }
+        SummaryTable {
+            rewrites: Arc::new(RewriteTable::new("summaries", methods)),
+            stats,
+        }
     }
 
-    /// The atoms of `method` when it is distilled; `None` means the call
-    /// site must keep the ordinary `ret → result` edge.
-    #[inline]
-    pub fn distilled_atoms(&self, method: MethodId) -> Option<&[SummaryAtom]> {
-        self.summaries
-            .get(method)
-            .filter(|s| s.distilled)
-            .map(|s| s.atoms.as_slice())
-    }
-
-    /// The full summary of `method`.
-    pub fn summary(&self, method: MethodId) -> Option<&MethodSummary> {
-        self.summaries.get(method)
+    /// The distilled summaries as the solver's call-edge rewrite table:
+    /// a distilled method's atoms replace its `ret → result` edge.
+    pub fn rewrites(&self) -> &Arc<RewriteTable> {
+        &self.rewrites
     }
 
     /// Whether no returning method was distilled.
@@ -228,32 +201,31 @@ impl SummaryTable {
     /// method, in method-table order, followed by a stats trailer.
     pub fn render(&self, program: &Program) -> String {
         let mut out = String::new();
-        for (mid, s) in self.summaries.iter() {
+        for (mid, mr) in self.rewrites.iter() {
             if program.methods[mid].ret.is_none() {
                 continue;
             }
-            if !s.distilled {
+            let Some(atoms) = &mr.ret else {
                 out.push_str(&format!(
                     "fallback {}: ret -> result kept\n",
                     program.method_display(mid)
                 ));
                 continue;
-            }
-            let atoms: Vec<String> = s
-                .atoms
+            };
+            let atoms: Vec<String> = atoms
                 .iter()
                 .map(|a| match a {
-                    SummaryAtom::ParamToRet(m, i) if *m == mid => format!("arg{i}"),
-                    SummaryAtom::ParamToRet(m, i) => {
+                    RetAtom::Formal(m, i) if *m == mid => format!("arg{i}"),
+                    RetAtom::Formal(m, i) => {
                         format!("arg{i} of {}", program.method_display(*m))
                     }
-                    SummaryAtom::ThisFieldToRet(f) => {
+                    RetAtom::ReceiverField(f) => {
                         format!("this.{}", program.fields[*f].name)
                     }
-                    SummaryAtom::AllocToRet(h) => {
+                    RetAtom::Alloc(h) => {
                         format!("new {}", program.classes[program.allocs[*h].class].name)
                     }
-                    SummaryAtom::GlobalToRet(g) => {
+                    RetAtom::Global(g) => {
                         format!("global {}", program.globals[*g].name)
                     }
                 })
@@ -294,31 +266,23 @@ fn distill_component(
     flow: &FlowGraph,
     dag: &SccDag,
     comp: u32,
-    table: &IdxVec<MethodId, MethodSummary>,
-) -> (Vec<(MethodId, MethodSummary)>, usize) {
+    table: &IdxVec<MethodId, MethodRewrite>,
+) -> (Vec<(MethodId, Summary)>, usize) {
     let members = &dag.members[comp as usize];
     // Optimistic initial assumption: every member distilled, no atoms.
-    // Atoms only grow and `distilled` only flips off, so this converges on
-    // the least fixpoint (see the module docs).
-    let mut assume: Vec<(MethodId, MethodSummary)> = members
-        .iter()
-        .map(|&m| {
-            (
-                m,
-                MethodSummary {
-                    distilled: true,
-                    atoms: Vec::new(),
-                },
-            )
-        })
-        .collect();
-    let lookup = |assume: &[(MethodId, MethodSummary)], m: MethodId| -> Option<Vec<SummaryAtom>> {
+    // Atoms only grow and a summary only flips to fallback, so this
+    // converges on the least fixpoint (see the module docs).
+    let mut assume: Vec<(MethodId, Summary)> = members.iter().map(|&m| (m, Some(vec![]))).collect();
+    let lookup = |assume: &[(MethodId, Summary)], m: MethodId| -> Summary {
         if dag.component[m] == comp {
-            let s = &assume.iter().find(|&&(am, _)| am == m).expect("member").1;
-            s.distilled.then(|| s.atoms.clone())
+            assume
+                .iter()
+                .find(|&&(am, _)| am == m)
+                .expect("member")
+                .1
+                .clone()
         } else {
-            let s = &table[m];
-            s.distilled.then(|| s.atoms.clone())
+            table[m].ret.clone()
         }
     };
     let mut rounds = 0usize;
@@ -327,16 +291,10 @@ fn distill_component(
         let mut changed = false;
         for i in 0..assume.len() {
             let (mid, ref current) = assume[i];
-            if !current.distilled {
+            if current.is_none() {
                 continue;
             }
-            let next = match distill_method(program, flow, mid, |m| lookup(&assume, m)) {
-                Some(atoms) => MethodSummary {
-                    distilled: true,
-                    atoms,
-                },
-                None => MethodSummary::default(),
-            };
+            let next = distill_method(program, flow, mid, |m| lookup(&assume, m));
             if next != assume[i].1 {
                 assume[i].1 = next;
                 changed = true;
@@ -356,14 +314,14 @@ fn distill_method(
     program: &Program,
     flow: &FlowGraph,
     mid: MethodId,
-    lookup: impl Fn(MethodId) -> Option<Vec<SummaryAtom>>,
-) -> Option<Vec<SummaryAtom>> {
+    lookup: impl Fn(MethodId) -> Summary,
+) -> Summary {
     let method = &program.methods[mid];
     let Some(ret) = method.ret else {
         // Nothing ever flows to callers; trivially distilled.
         return Some(Vec::new());
     };
-    let mut atoms: BTreeSet<SummaryAtom> = BTreeSet::new();
+    let mut atoms: BTreeSet<RetAtom> = BTreeSet::new();
     let mut seen: FxHashSet<VarId> = FxHashSet::default();
     let mut work: Vec<VarId> = vec![ret];
     seen.insert(ret);
@@ -374,13 +332,13 @@ fn distill_method(
             return None;
         }
         if let Some(i) = method.params.iter().position(|&p| p == v) {
-            atoms.insert(SummaryAtom::ParamToRet(mid, i));
+            atoms.insert(RetAtom::Formal(mid, i));
             // Fall through: a reassigned parameter also has direct defs.
         }
         for instr in &method.body {
             match *instr {
                 Instruction::Alloc { var, alloc } if var == v => {
-                    atoms.insert(SummaryAtom::AllocToRet(alloc));
+                    atoms.insert(RetAtom::Alloc(alloc));
                 }
                 Instruction::Move { to, from } if to == v && seen.insert(from) => {
                     work.push(from);
@@ -391,13 +349,13 @@ fn distill_method(
                 Instruction::Cast { to, .. } if to == v => return None,
                 Instruction::Load { to, base, field } if to == v => {
                     if method.this == Some(base) && flow.defs[base] == 0 {
-                        atoms.insert(SummaryAtom::ThisFieldToRet(field));
+                        atoms.insert(RetAtom::ReceiverField(field));
                     } else {
                         return None;
                     }
                 }
                 Instruction::LoadGlobal { to, global } if to == v => {
-                    atoms.insert(SummaryAtom::GlobalToRet(global));
+                    atoms.insert(RetAtom::Global(global));
                 }
                 Instruction::Return { var } if ret == v && seen.insert(var) => {
                     work.push(var);
@@ -419,38 +377,25 @@ fn distill_method(
                     };
                     let inner = lookup(target)?;
                     for atom in inner {
-                        match atom {
-                            SummaryAtom::ParamToRet(m, j) => {
-                                // Inherit verbatim: the composed atom keeps
-                                // reading the *inner* formal. Continuing the
-                                // slice from this site's actual instead
-                                // would out-precision 2objH, which can
-                                // conflate the inner callee's contexts and
-                                // funnel *other* callers' arguments through
-                                // this call — flows a per-site slice never
-                                // covers.
-                                atoms.insert(SummaryAtom::ParamToRet(m, j));
-                            }
-                            SummaryAtom::ThisFieldToRet(f) => {
-                                // Expressible only when the inner receiver
-                                // is our own (never reassigned) `this`.
-                                let base = match inv.kind {
-                                    InvokeKind::Special { base, .. } => Some(base),
-                                    _ => None,
-                                }?;
-                                if method.this == Some(base) && flow.defs[base] == 0 {
-                                    atoms.insert(SummaryAtom::ThisFieldToRet(f));
-                                } else {
-                                    return None;
-                                }
-                            }
-                            SummaryAtom::AllocToRet(h) => {
-                                atoms.insert(SummaryAtom::AllocToRet(h));
-                            }
-                            SummaryAtom::GlobalToRet(g) => {
-                                atoms.insert(SummaryAtom::GlobalToRet(g));
+                        // A receiver-field atom is expressible only when
+                        // the inner receiver is our own (never
+                        // reassigned) `this`.
+                        if let RetAtom::ReceiverField(_) = atom {
+                            let InvokeKind::Special { base, .. } = inv.kind else {
+                                return None;
+                            };
+                            if method.this != Some(base) || flow.defs[base] != 0 {
+                                return None;
                             }
                         }
+                        // Every atom is inherited verbatim — a `Formal`
+                        // atom keeps reading the *inner* formal.
+                        // Continuing the slice from this site's actual
+                        // instead would out-precision 2objH, which can
+                        // conflate the inner callee's contexts and funnel
+                        // *other* callers' arguments through this call —
+                        // flows a per-site slice never covers.
+                        atoms.insert(atom);
                     }
                 }
                 _ => {}
@@ -512,26 +457,23 @@ mod tests {
         let (p, [id_m, mk_m, get_m, gl_m, chain_m]) = fixture();
         let t = table(&p);
         assert_eq!(
-            t.distilled_atoms(id_m),
-            Some(&[SummaryAtom::ParamToRet(id_m, 0)][..])
+            t.rewrites().ret(id_m),
+            Some(&[RetAtom::Formal(id_m, 0)][..])
         );
+        assert!(matches!(t.rewrites().ret(mk_m), Some(&[RetAtom::Alloc(_)])));
         assert!(matches!(
-            t.distilled_atoms(mk_m),
-            Some(&[SummaryAtom::AllocToRet(_)])
+            t.rewrites().ret(get_m),
+            Some(&[RetAtom::ReceiverField(_)])
         ));
         assert!(matches!(
-            t.distilled_atoms(get_m),
-            Some(&[SummaryAtom::ThisFieldToRet(_)])
+            t.rewrites().ret(gl_m),
+            Some(&[RetAtom::Global(_)])
         ));
-        assert!(matches!(
-            t.distilled_atoms(gl_m),
-            Some(&[SummaryAtom::GlobalToRet(_)])
-        ));
-        // Composition: chain inherits id's ParamToRet verbatim — still
+        // Composition: chain inherits id's Formal atom verbatim — still
         // pointing at id's formal, the chain-safe conflation point.
         assert_eq!(
-            t.distilled_atoms(chain_m),
-            Some(&[SummaryAtom::ParamToRet(id_m, 0)][..])
+            t.rewrites().ret(chain_m),
+            Some(&[RetAtom::Formal(id_m, 0)][..])
         );
         assert_eq!(t.stats.distilled, 5);
     }
@@ -551,8 +493,8 @@ mod tests {
         b.entry(cast_m);
         let p = b.finish();
         let tbl = table(&p);
-        assert_eq!(tbl.distilled_atoms(rudoop_ir::MethodId(0)), None);
-        assert_eq!(tbl.distilled_atoms(rudoop_ir::MethodId(1)), None);
+        assert_eq!(tbl.rewrites().ret(rudoop_ir::MethodId(0)), None);
+        assert_eq!(tbl.rewrites().ret(rudoop_ir::MethodId(1)), None);
         assert_eq!(tbl.stats.fallback, 2);
     }
 
@@ -583,12 +525,12 @@ mod tests {
         // Both are distilled: g returns its alloc plus its own parameter;
         // f inherits both verbatim (its atoms reference *g's* formal — the
         // conflation point f forwards its argument into).
-        let fa = t.distilled_atoms(f_m).expect("f distilled");
-        let ga = t.distilled_atoms(g_m).expect("g distilled");
-        assert!(fa.iter().any(|a| matches!(a, SummaryAtom::AllocToRet(_))));
-        assert!(fa.contains(&SummaryAtom::ParamToRet(g_m, 0)));
-        assert!(ga.iter().any(|a| matches!(a, SummaryAtom::AllocToRet(_))));
-        assert!(ga.contains(&SummaryAtom::ParamToRet(g_m, 0)));
+        let fa = t.rewrites().ret(f_m).expect("f distilled");
+        let ga = t.rewrites().ret(g_m).expect("g distilled");
+        assert!(fa.iter().any(|a| matches!(a, RetAtom::Alloc(_))));
+        assert!(fa.contains(&RetAtom::Formal(g_m, 0)));
+        assert!(ga.iter().any(|a| matches!(a, RetAtom::Alloc(_))));
+        assert!(ga.contains(&RetAtom::Formal(g_m, 0)));
         assert!(t.stats.max_rounds >= 2);
     }
 
@@ -609,8 +551,8 @@ mod tests {
         b.entry(m);
         let p = b.finish();
         let t = table(&p);
-        assert!(t.distilled_atoms(fa).is_some());
-        assert_eq!(t.distilled_atoms(m), None);
+        assert!(t.rewrites().ret(fa).is_some());
+        assert_eq!(t.rewrites().ret(m), None);
     }
 
     #[test]

@@ -34,10 +34,8 @@ use rudoop_ir::{ClassHierarchy, Program};
 
 use crate::driver::{analyze_flavor, analyze_introspective_from, Flavor};
 use crate::heuristics::{HeuristicA, HeuristicB, RefinementHeuristic};
-use crate::policy::Insensitive;
 use crate::solver::{
-    analyze, Budget, CancelToken, ExhaustionCause, Outcome, PointsToResult, SolverConfig,
-    SolverStats,
+    Budget, CancelToken, ExhaustionCause, Outcome, PointsToResult, SolverConfig, SolverStats,
 };
 
 /// Which refinement heuristic an introspective rung uses, with its
@@ -574,7 +572,7 @@ pub fn supervise(
         let rung_config = SolverConfig {
             budget: cfg.budget,
             cancel: Some(rung_token.clone()),
-            summaries: warm_summaries,
+            rewrites: warm_summaries.map(|t| Arc::clone(t.rewrites())),
             ..cfg.solver.clone()
         };
         let needs_watchdog =
@@ -602,7 +600,9 @@ pub fn supervise(
             RungKind::Introspective { flavor, heuristic } => {
                 if matches!(first_pass, FirstPass::NotRun) {
                     let fp_span = crate::telemetry::span_opt(&tele, "first-pass");
-                    let fp = analyze(program, hierarchy, &Insensitive, &rung_config);
+                    // Through the flavor driver, which clears a warm
+                    // summaries table: the first pass is plain insens.
+                    let fp = analyze_flavor(program, hierarchy, Flavor::Insensitive, &rung_config);
                     if let Some(span) = &fp_span {
                         span.arg("outcome", format!("{:?}", fp.outcome));
                     }

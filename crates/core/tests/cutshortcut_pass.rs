@@ -125,11 +125,15 @@ fn pass_is_deterministic_on_seeded_programs() {
             telemetry: tele.clone(),
             ..SolverConfig::default()
         };
+        let cuts = CutSummary::compute(&program);
         let prepared = Flavor::CutShortcut.prepare_config(&program, &cfg);
-        let cuts = prepared.cuts.expect("cutshortcut injects its summary");
+        let rewrites = prepared
+            .rewrites
+            .expect("cutshortcut injects its rewrite table");
+        assert_eq!(rewrites.name(), "cutshortcut");
         assert_eq!(
-            first,
-            cuts.render(&program),
+            *rewrites,
+            **cuts.rewrites(),
             "seed {seed}: traced run disagrees"
         );
         let t = tele.as_deref().unwrap();

@@ -47,11 +47,9 @@ pub mod rule;
 pub mod taint;
 
 pub use engine::{Engine, RunStats};
-pub use model::{run_model, run_model_with_cuts, run_model_with_summaries, ModelResult};
-pub use races::{
-    run_race_model, run_race_model_with_cuts, run_race_model_with_summaries, RaceModelResult,
+pub use model::{
+    run_model, run_model_with_cuts, run_model_with_rewrites, run_model_with_summaries, ModelResult,
 };
+pub use races::{run_race_model, run_race_model_with_rewrites, RaceModelResult};
 pub use rule::{Atom, FuncApp, FuncId, Literal, RelId, Rule, RuleBuilder, RuleError, Term, Value};
-pub use taint::{
-    run_taint_model, run_taint_model_with_cuts, run_taint_model_with_summaries, TaintModelResult,
-};
+pub use taint::{run_taint_model, run_taint_model_with_rewrites, TaintModelResult};

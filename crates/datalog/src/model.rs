@@ -18,9 +18,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rudoop_core::context::{CtxId, CtxTables, HCtxId};
-use rudoop_core::cutshortcut::{CutSummary, ParamCut};
+use rudoop_core::cutshortcut::CutSummary;
 use rudoop_core::policy::{ContextPolicy, RefinementSet};
-use rudoop_core::summaries::{SummaryAtom, SummaryTable};
+use rudoop_core::rewrite::{ParamRewrite, RetAtom, RewriteTable};
+use rudoop_core::summaries::SummaryTable;
 use rudoop_ir::{
     AllocId, ClassHierarchy, FieldId, Instruction, InvokeId, InvokeKind, MethodId, Program, VarId,
 };
@@ -96,66 +97,27 @@ pub fn run_model(
     refined: &dyn ContextPolicy,
     refinement: &RefinementSet,
 ) -> Result<ModelResult, RuleError> {
-    run_model_extended(program, hierarchy, default, refined, refinement, None, None)
+    run_model_with_rewrites(program, hierarchy, default, refined, refinement, None)
 }
 
-/// [`run_model`] with an optional cut-shortcut summary: cut parameters and
-/// returns are excluded from the interprocedural-assignment rules and
-/// replaced by the three shortcut rules, mirroring the optimized solver's
-/// `cutshortcut` flavor. Passing `None` (or a summary with no cuts) leaves
-/// every rule's behavior unchanged.
+/// [`run_model`] with an optional call-edge rewrite table (the output of
+/// the cut-shortcut or summary pass): rewritten parameters and returns are
+/// excluded from the interprocedural-assignment rules and replaced by the
+/// rewrite rules, mirroring the optimized solver's `add_call_edge`.
+/// Passing `None` (or a table that rewrites nothing) leaves every rule's
+/// behavior unchanged.
 ///
 /// # Errors
 ///
 /// Propagates [`RuleError`] from rule construction (a bug, not an input
 /// condition — the rules are fixed).
-pub fn run_model_with_cuts(
+pub fn run_model_with_rewrites(
     program: &Program,
     hierarchy: &ClassHierarchy,
     default: &dyn ContextPolicy,
     refined: &dyn ContextPolicy,
     refinement: &RefinementSet,
-    cuts: Option<&CutSummary>,
-) -> Result<ModelResult, RuleError> {
-    run_model_extended(program, hierarchy, default, refined, refinement, cuts, None)
-}
-
-/// [`run_model`] with an optional bottom-up summary table: return edges of
-/// distilled methods are excluded from the interprocedural-assignment rules
-/// and replaced by the four summary-instantiation rules, mirroring the
-/// optimized solver's `summaries` flavor. Passing `None` (or a table with
-/// no distilled methods) leaves every rule's behavior unchanged.
-///
-/// # Errors
-///
-/// Propagates [`RuleError`] from rule construction (a bug, not an input
-/// condition — the rules are fixed).
-pub fn run_model_with_summaries(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    default: &dyn ContextPolicy,
-    refined: &dyn ContextPolicy,
-    refinement: &RefinementSet,
-    summaries: Option<&SummaryTable>,
-) -> Result<ModelResult, RuleError> {
-    run_model_extended(
-        program, hierarchy, default, refined, refinement, None, summaries,
-    )
-}
-
-/// The common body of the `run_model*` entry points. Cuts and summaries
-/// are mutually exclusive in practice (`Flavor::prepare_config` clears
-/// whichever the flavor does not use), but the installer composes them
-/// soundly either way: each mechanism cuts a disjoint rule premise.
-#[allow(clippy::too_many_arguments)]
-fn run_model_extended(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    default: &dyn ContextPolicy,
-    refined: &dyn ContextPolicy,
-    refinement: &RefinementSet,
-    cuts: Option<&CutSummary>,
-    summaries: Option<&SummaryTable>,
+    rewrites: Option<&RewriteTable>,
 ) -> Result<ModelResult, RuleError> {
     let tables = Rc::new(RefCell::new(CtxTables::new()));
     let mut engine = Engine::new();
@@ -167,14 +129,49 @@ fn run_model_extended(
         default,
         refined,
         refinement,
-        cuts,
-        summaries,
+        rewrites,
     )?;
     let stats = engine.run()?;
     let mut result = extract_result(&engine, &rels, stats.rounds);
     drop(engine);
     result.tables = Rc::try_unwrap(tables).expect("engine dropped").into_inner();
     Ok(result)
+}
+
+/// [`run_model_with_rewrites`] under a cut-shortcut pass's table. Kept for
+/// the benchmark crate's reference-model anchor, which names it.
+///
+/// # Errors
+///
+/// As [`run_model_with_rewrites`].
+pub fn run_model_with_cuts(
+    program: &Program,
+    hierarchy: &ClassHierarchy,
+    default: &dyn ContextPolicy,
+    refined: &dyn ContextPolicy,
+    refinement: &RefinementSet,
+    cuts: Option<&CutSummary>,
+) -> Result<ModelResult, RuleError> {
+    let rewrites = cuts.map(|c| &**c.rewrites());
+    run_model_with_rewrites(program, hierarchy, default, refined, refinement, rewrites)
+}
+
+/// [`run_model_with_rewrites`] under a summary pass's table. Kept for the
+/// benchmark crate's reference-model anchor, which names it.
+///
+/// # Errors
+///
+/// As [`run_model_with_rewrites`].
+pub fn run_model_with_summaries(
+    program: &Program,
+    hierarchy: &ClassHierarchy,
+    default: &dyn ContextPolicy,
+    refined: &dyn ContextPolicy,
+    refinement: &RefinementSet,
+    summaries: Option<&SummaryTable>,
+) -> Result<ModelResult, RuleError> {
+    let rewrites = summaries.map(|t| &**t.rewrites());
+    run_model_with_rewrites(program, hierarchy, default, refined, refinement, rewrites)
 }
 
 /// The relation ids of the base (points-to) model that extension rule sets
@@ -242,8 +239,7 @@ pub(crate) fn install_base_model<'a>(
     default: &'a dyn ContextPolicy,
     refined: &'a dyn ContextPolicy,
     refinement: &RefinementSet,
-    cuts: Option<&CutSummary>,
-    summaries: Option<&SummaryTable>,
+    rewrites: Option<&RewriteTable>,
 ) -> Result<BaseRels, RuleError> {
     // ---- EDB relations (Figure 2's input relations) ----
     let alloc = engine.relation("ALLOC", 3); // var, heap, inMeth
@@ -266,22 +262,18 @@ pub(crate) fn install_base_model<'a>(
     let objecttorefine = engine.relation("OBJECTTOREFINE", 1); // heap
     let entry = engine.relation("ENTRY", 1); // meth
 
-    // ---- Cut-shortcut EDB (empty unless a `CutSummary` is supplied, in
-    // which case the pre-analysis pass dictates every tuple) ----
+    // ---- Call-edge rewrite EDB (empty unless a `RewriteTable` is
+    // supplied, in which case the pre-analysis pass dictates every tuple;
+    // CALLBASE is a program fact only the rewrite rules join) ----
     let callbase = engine.relation("CALLBASE", 2); // invo, base (receiver calls only)
-    let cutparam = engine.relation("CUTPARAM", 2); // meth, i — arg edge cut
-    let cutret = engine.relation("CUTRET", 2); // invo, meth — ret edge cut at this site
-    let idparam = engine.relation("IDPARAM", 2); // meth, i — identity shortcut
-    let setparam = engine.relation("SETPARAM", 3); // meth, i, fld — setter shortcut
-    let getreturn = engine.relation("GETRETURN", 2); // meth, fld — getter shortcut
-
-    // ---- Summary EDB (empty unless a `SummaryTable` is supplied, in
-    // which case the bottom-up SCC pass dictates every tuple) ----
-    let sumret = engine.relation("SUMRET", 2); // invo, meth — ret edge summarized
-    let sumretparam = engine.relation("SUMRETPARAM", 3); // meth, srcMeth, i — ret = formal i of srcMeth
-    let sumretfield = engine.relation("SUMRETFIELD", 2); // meth, fld — ret = this.fld
-    let sumretalloc = engine.relation("SUMRETALLOC", 2); // meth, heap — ret = new heap
-    let sumretglobal = engine.relation("SUMRETGLOBAL", 2); // meth, glob — ret = global
+    let argrewritten = engine.relation("ARGREWRITTEN", 2); // meth, i — arg edge cut
+    let argtoresult = engine.relation("ARGTORESULT", 2); // meth, i — arg -> result
+    let argtofield = engine.relation("ARGTOFIELD", 3); // meth, i, fld — arg -> receiver.fld
+    let retrewritten = engine.relation("RETREWRITTEN", 1); // meth — ret edge cut
+    let retformal = engine.relation("RETFORMAL", 3); // meth, srcMeth, i — formal i of srcMeth
+    let retfield = engine.relation("RETFIELD", 2); // meth, fld — receiver.fld
+    let retalloc = engine.relation("RETALLOC", 2); // meth, heap — new heap
+    let retglobal = engine.relation("RETGLOBAL", 2); // meth, glob — global
 
     // ---- IDB relations (Figure 2's computed relations) ----
     let varpointsto = engine.relation("VARPOINTSTO", 4); // var, ctx, heap, hctx
@@ -359,8 +351,8 @@ pub(crate) fn install_base_model<'a>(
                rule: Result<crate::rule::Rule, RuleError>|
      -> Result<(), RuleError> { engine.add_rule(rule?) };
 
-    // INTERPROCASSIGN from arguments — except cut parameters, whose flow
-    // is rerouted by the shortcut rules below.
+    // INTERPROCASSIGN from arguments — except rewritten parameters,
+    // whose flow the argument rewrite rules below reroute.
     add(
         engine,
         RuleBuilder::new("interproc-args")
@@ -368,14 +360,11 @@ pub(crate) fn install_base_model<'a>(
             .pos(callgraph, &["invo", "callerCtx", "meth", "calleeCtx"])
             .pos(formalarg, &["meth", "i", "to"])
             .pos(actualarg, &["invo", "i", "from"])
-            .neg(cutparam, &["meth", "i"])
+            .neg(argrewritten, &["meth", "i"])
             .build(),
     )?;
-    // INTERPROCASSIGN from returns — except getter returns at receiver
-    // call sites (CUTRET is per (invo, meth): a baseless static call to a
-    // getter keeps its return edge, exactly as the solver does) and
-    // except distilled returns (SUMRET), which the four summary rules
-    // below replace with caller-context-local instantiations.
+    // INTERPROCASSIGN from returns — except rewritten returns, whose
+    // atoms the return rewrite rules below instantiate at every site.
     add(
         engine,
         RuleBuilder::new("interproc-ret")
@@ -383,22 +372,20 @@ pub(crate) fn install_base_model<'a>(
             .pos(callgraph, &["invo", "callerCtx", "meth", "calleeCtx"])
             .pos(formalreturn, &["meth", "from"])
             .pos(actualreturn, &["invo", "to"])
-            .neg(cutret, &["invo", "meth"])
-            .neg(sumret, &["invo", "meth"])
+            .neg(retrewritten, &["meth"])
             .build(),
     )?;
-    // Cut-shortcut rules: each cut interprocedural flow is replaced by a
-    // caller-context-local shortcut (the paper-adjacent "context
-    // sensitivity without contexts" trick). Identity params jump the
-    // actual straight to the call result; setter params store it into the
-    // receiver's field; getter returns load the receiver's field into the
-    // result. All three stay entirely in `callerCtx`.
+    // Call-edge rewrite rules: each rewritten flow is replaced by a
+    // caller-side one (context sensitivity without contexts). An argument
+    // rewritten to the result jumps the actual straight to the call's
+    // result; one rewritten to a receiver field stores it into that field
+    // of this site's receiver objects. Both stay in `callerCtx`.
     add(
         engine,
-        RuleBuilder::new("shortcut-identity")
+        RuleBuilder::new("arg-to-result")
             .head(varpointsto, &["to", "callerCtx", "heap", "hctx"])
             .pos(callgraph, &["invo", "callerCtx", "meth", "_"])
-            .pos(idparam, &["meth", "i"])
+            .pos(argtoresult, &["meth", "i"])
             .pos(actualarg, &["invo", "i", "from"])
             .pos(actualreturn, &["invo", "to"])
             .pos(varpointsto, &["from", "callerCtx", "heap", "hctx"])
@@ -406,62 +393,46 @@ pub(crate) fn install_base_model<'a>(
     )?;
     add(
         engine,
-        RuleBuilder::new("shortcut-setter")
+        RuleBuilder::new("arg-to-field")
             .head(fldpointsto, &["baseH", "baseHCtx", "fld", "heap", "hctx"])
             .pos(callgraph, &["invo", "callerCtx", "meth", "_"])
-            .pos(setparam, &["meth", "i", "fld"])
+            .pos(argtofield, &["meth", "i", "fld"])
             .pos(actualarg, &["invo", "i", "from"])
             .pos(callbase, &["invo", "base"])
             .pos(varpointsto, &["base", "callerCtx", "baseH", "baseHCtx"])
             .pos(varpointsto, &["from", "callerCtx", "heap", "hctx"])
             .build(),
     )?;
+    // A rewritten return is replaced by one rule per atom kind, each
+    // feeding the call's result directly. `ret = formal i of srcMeth`
+    // reads the *formal* (the union over all call sites, never this
+    // site's actual alone — so summaries stay no more precise than 2objH
+    // where that flavor conflates sites, outer or inner); `ret =
+    // receiver.fld` loads the field through *this site's* receiver
+    // objects only (CALLBASE is empty for static sites, and no static
+    // method has a receiver-field atom); `ret = new h` materializes the
+    // allocation under the empty heap context, matching what the
+    // insensitive policy records; `ret = global g` reads the global slot.
     add(
         engine,
-        RuleBuilder::new("shortcut-getter")
-            .head(varpointsto, &["to", "callerCtx", "heap", "hctx"])
-            .pos(callgraph, &["invo", "callerCtx", "meth", "_"])
-            .pos(getreturn, &["meth", "fld"])
-            .pos(actualreturn, &["invo", "to"])
-            .pos(callbase, &["invo", "base"])
-            .pos(varpointsto, &["base", "callerCtx", "baseH", "baseHCtx"])
-            .pos(fldpointsto, &["baseH", "baseHCtx", "fld", "heap", "hctx"])
-            .build(),
-    )?;
-    // Summary-instantiation rules: a distilled callee's return edge is
-    // replaced by one rule per summary-atom kind, each expanding the atom
-    // at the call site. `ret = param i` reads the *formal* parameter of
-    // the method the atom names (the summarized callee or, for atoms
-    // inherited through composition, a transitive callee) — the union over
-    // all call sites, never this site's actual alone, so summaries stay no
-    // more precise than `2objH` where that flavor conflates sites — outer
-    // or inner; `ret = this.fld` loads the field through
-    // *this site's* receiver objects only (receiver calls — CALLBASE is
-    // empty for static sites, exactly as the solver skips baseless field
-    // atoms), which is where the precision over insensitivity comes from;
-    // `ret = new h` materializes the allocation under the empty heap
-    // context, matching what the all-empty `summaries` policy records;
-    // `ret = global g` reads the context-insensitive global slot.
-    add(
-        engine,
-        RuleBuilder::new("sum-ret-param")
+        RuleBuilder::new("ret-formal")
             .head(varpointsto, &["to", "callerCtx", "heap", "hctx"])
             .pos(callgraph, &["invo", "callerCtx", "meth", "calleeCtx"])
-            .pos(sumretparam, &["meth", "srcMeth", "i"])
+            .pos(retformal, &["meth", "srcMeth", "i"])
             .pos(formalarg, &["srcMeth", "i", "from"])
             .pos(actualreturn, &["invo", "to"])
             // `calleeCtx` is sound for the source formal even when
-            // `srcMeth != meth`: the summaries policy is context-free, so
-            // every method runs under the single empty context.
+            // `srcMeth != meth`: rewrites run under the context-free
+            // policy, so every method runs under the single empty context.
             .pos(varpointsto, &["from", "calleeCtx", "heap", "hctx"])
             .build(),
     )?;
     add(
         engine,
-        RuleBuilder::new("sum-ret-field")
+        RuleBuilder::new("ret-field")
             .head(varpointsto, &["to", "callerCtx", "heap", "hctx"])
             .pos(callgraph, &["invo", "callerCtx", "meth", "_"])
-            .pos(sumretfield, &["meth", "fld"])
+            .pos(retfield, &["meth", "fld"])
             .pos(actualreturn, &["invo", "to"])
             .pos(callbase, &["invo", "base"])
             .pos(varpointsto, &["base", "callerCtx", "baseH", "baseHCtx"])
@@ -470,19 +441,19 @@ pub(crate) fn install_base_model<'a>(
     )?;
     add(
         engine,
-        RuleBuilder::new("sum-ret-alloc")
+        RuleBuilder::new("ret-alloc")
             .head(varpointsto, &["to", "callerCtx", "heap", "#0"])
             .pos(callgraph, &["invo", "callerCtx", "meth", "_"])
-            .pos(sumretalloc, &["meth", "heap"])
+            .pos(retalloc, &["meth", "heap"])
             .pos(actualreturn, &["invo", "to"])
             .build(),
     )?;
     add(
         engine,
-        RuleBuilder::new("sum-ret-global")
+        RuleBuilder::new("ret-global")
             .head(varpointsto, &["to", "callerCtx", "heap", "hctx"])
             .pos(callgraph, &["invo", "callerCtx", "meth", "_"])
-            .pos(sumretglobal, &["meth", "glob"])
+            .pos(retglobal, &["meth", "glob"])
             .pos(actualreturn, &["invo", "to"])
             .pos(globalpointsto, &["glob", "heap", "hctx"])
             .build(),
@@ -711,101 +682,32 @@ pub(crate) fn install_base_model<'a>(
         },
     );
 
-    // ---- Cut-shortcut facts from the pre-analysis pass ----
-    if let Some(cuts) = cuts {
+    // ---- Call-edge rewrite facts from the pre-analysis pass ----
+    if let Some(table) = rewrites {
         for (iid, inv) in program.invokes.iter() {
-            match inv.kind {
-                InvokeKind::Virtual { base, sig } => {
-                    engine.fact(callbase, &[iid.0, base.0]);
-                    // CUTRET pairs a call site with each plausible getter
-                    // target (same-signature methods are exactly the
-                    // dispatch range, mirroring SITETOREFINE's filter).
-                    for (mid, method) in program.methods.iter() {
-                        if method.sig == sig && cuts.getter_return(mid).is_some() {
-                            engine.fact(cutret, &[iid.0, mid.0]);
-                        }
-                    }
-                }
-                InvokeKind::Special { base, target } => {
-                    engine.fact(callbase, &[iid.0, base.0]);
-                    if cuts.getter_return(target).is_some() {
-                        engine.fact(cutret, &[iid.0, target.0]);
-                    }
-                }
-                InvokeKind::Static { .. } => {}
+            if let InvokeKind::Virtual { base, .. } | InvokeKind::Special { base, .. } = inv.kind {
+                engine.fact(callbase, &[iid.0, base.0]);
             }
         }
-        for (mid, method) in program.methods.iter() {
-            for i in 0..method.params.len() {
-                match cuts.param_cut(mid, i) {
-                    Some(ParamCut::Identity) => {
-                        engine.fact(cutparam, &[mid.0, i as Value]);
-                        engine.fact(idparam, &[mid.0, i as Value]);
-                    }
-                    Some(ParamCut::Setter(field)) => {
-                        engine.fact(cutparam, &[mid.0, i as Value]);
-                        engine.fact(setparam, &[mid.0, i as Value, field.0]);
-                    }
-                    None => {}
-                }
-            }
-            if let Some(field) = cuts.getter_return(mid) {
-                engine.fact(getreturn, &[mid.0, field.0]);
-            }
-        }
-    }
-
-    // ---- Summary facts from the bottom-up SCC pass ----
-    if let Some(table) = summaries {
-        for (iid, inv) in program.invokes.iter() {
-            match inv.kind {
-                InvokeKind::Virtual { base, sig } => {
-                    engine.fact(callbase, &[iid.0, base.0]);
-                    // SUMRET pairs a call site with each plausible
-                    // distilled target (same-signature methods are exactly
-                    // the dispatch range, mirroring SITETOREFINE's filter);
-                    // pairs outside CALLGRAPH never meet a rule.
-                    for (mid, method) in program.methods.iter() {
-                        if method.sig == sig && table.distilled_atoms(mid).is_some() {
-                            engine.fact(sumret, &[iid.0, mid.0]);
-                        }
-                    }
-                }
-                InvokeKind::Special { base, target } => {
-                    engine.fact(callbase, &[iid.0, base.0]);
-                    if table.distilled_atoms(target).is_some() {
-                        engine.fact(sumret, &[iid.0, target.0]);
-                    }
-                }
-                // Unlike CUTRET, static sites do get SUMRET tuples: the
-                // solver instantiates summaries at every call edge, with
-                // only the receiver-field atoms skipped for baseless
-                // sites (CALLBASE stays empty for them).
-                InvokeKind::Static { target } => {
-                    if table.distilled_atoms(target).is_some() {
-                        engine.fact(sumret, &[iid.0, target.0]);
+        for (mid, mr) in table.iter() {
+            for (i, rewrite) in mr.params.iter().enumerate() {
+                let Some(rewrite) = rewrite else { continue };
+                engine.fact(argrewritten, &[mid.0, i as Value]);
+                match *rewrite {
+                    ParamRewrite::ToResult => engine.fact(argtoresult, &[mid.0, i as Value]),
+                    ParamRewrite::ToReceiverField(f) => {
+                        engine.fact(argtofield, &[mid.0, i as Value, f.0]);
                     }
                 }
             }
-        }
-        for mid in program.methods.ids() {
-            let Some(atoms) = table.distilled_atoms(mid) else {
-                continue;
-            };
+            let Some(atoms) = &mr.ret else { continue };
+            engine.fact(retrewritten, &[mid.0]);
             for atom in atoms {
                 match *atom {
-                    SummaryAtom::ParamToRet(src, i) => {
-                        engine.fact(sumretparam, &[mid.0, src.0, i as Value]);
-                    }
-                    SummaryAtom::ThisFieldToRet(field) => {
-                        engine.fact(sumretfield, &[mid.0, field.0]);
-                    }
-                    SummaryAtom::AllocToRet(heap) => {
-                        engine.fact(sumretalloc, &[mid.0, heap.0]);
-                    }
-                    SummaryAtom::GlobalToRet(glob) => {
-                        engine.fact(sumretglobal, &[mid.0, glob.0]);
-                    }
+                    RetAtom::Formal(src, i) => engine.fact(retformal, &[mid.0, src.0, i as Value]),
+                    RetAtom::ReceiverField(f) => engine.fact(retfield, &[mid.0, f.0]),
+                    RetAtom::Alloc(h) => engine.fact(retalloc, &[mid.0, h.0]),
+                    RetAtom::Global(g) => engine.fact(retglobal, &[mid.0, g.0]),
                 }
             }
         }

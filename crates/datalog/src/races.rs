@@ -73,60 +73,25 @@ pub fn run_race_model(
     refined: &dyn ContextPolicy,
     refinement: &RefinementSet,
 ) -> Result<RaceModelResult, RuleError> {
-    run_race_model_with_cuts(program, hierarchy, default, refined, refinement, None)
+    run_race_model_with_rewrites(program, hierarchy, default, refined, refinement, None)
 }
 
-/// [`run_race_model`] over the cut-shortcut base model (see
-/// [`crate::model::run_model_with_cuts`]). The EXEC and race rules are
-/// untouched; cuts reach the race set only through the base model's
-/// `VARPOINTSTO`/`CALLGRAPH` relations.
-///
-/// # Errors
-///
-/// Propagates [`RuleError`] from rule construction (a bug, not an input
-/// condition — the rules are fixed).
-pub fn run_race_model_with_cuts(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    default: &dyn ContextPolicy,
-    refined: &dyn ContextPolicy,
-    refinement: &RefinementSet,
-    cuts: Option<&rudoop_core::cutshortcut::CutSummary>,
-) -> Result<RaceModelResult, RuleError> {
-    run_race_model_extended(program, hierarchy, default, refined, refinement, cuts, None)
-}
-
-/// [`run_race_model`] over the summary-instantiating base model (see
-/// [`crate::model::run_model_with_summaries`]). The EXEC and race rules
-/// are untouched; summaries reach the race set only through the base
+/// [`run_race_model`] over the base model with a call-edge rewrite table
+/// (see [`crate::model::run_model_with_rewrites`]). The EXEC and race
+/// rules are untouched; rewrites reach the race set only through the base
 /// model's `VARPOINTSTO`/`CALLGRAPH` relations.
 ///
 /// # Errors
 ///
 /// Propagates [`RuleError`] from rule construction (a bug, not an input
 /// condition — the rules are fixed).
-pub fn run_race_model_with_summaries(
+pub fn run_race_model_with_rewrites(
     program: &Program,
     hierarchy: &ClassHierarchy,
     default: &dyn ContextPolicy,
     refined: &dyn ContextPolicy,
     refinement: &RefinementSet,
-    summaries: Option<&rudoop_core::summaries::SummaryTable>,
-) -> Result<RaceModelResult, RuleError> {
-    run_race_model_extended(
-        program, hierarchy, default, refined, refinement, None, summaries,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_race_model_extended(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    default: &dyn ContextPolicy,
-    refined: &dyn ContextPolicy,
-    refinement: &RefinementSet,
-    cuts: Option<&rudoop_core::cutshortcut::CutSummary>,
-    summaries: Option<&rudoop_core::summaries::SummaryTable>,
+    rewrites: Option<&rudoop_core::rewrite::RewriteTable>,
 ) -> Result<RaceModelResult, RuleError> {
     let tables = Rc::new(RefCell::new(CtxTables::new()));
     let mut engine = Engine::new();
@@ -138,8 +103,7 @@ fn run_race_model_extended(
         default,
         refined,
         refinement,
-        cuts,
-        summaries,
+        rewrites,
     )?;
 
     // ---- Concurrency EDB ----

@@ -76,69 +76,28 @@ pub fn run_taint_model(
     refined: &dyn ContextPolicy,
     refinement: &RefinementSet,
 ) -> Result<TaintModelResult, RuleError> {
-    run_taint_model_with_cuts(program, hierarchy, spec, default, refined, refinement, None)
+    run_taint_model_with_rewrites(program, hierarchy, spec, default, refined, refinement, None)
 }
 
-/// [`run_taint_model`] over the cut-shortcut base model (see
-/// [`crate::model::run_model_with_cuts`]). The taint rules themselves are
-/// untouched — they propagate through `CALLGRAPH`/`FORMALARG` directly, so
-/// cuts only affect them via the smaller `VARPOINTSTO` at load/store
-/// bases, exactly like the optimized taint client.
+/// [`run_taint_model`] over the base model with a call-edge rewrite table
+/// (see [`crate::model::run_model_with_rewrites`]). The taint rules
+/// themselves are untouched — they propagate through
+/// `CALLGRAPH`/`FORMALARG` directly, so rewrites only affect them via the
+/// base model's `VARPOINTSTO`, exactly like the optimized taint client.
 ///
 /// # Errors
 ///
 /// Propagates [`RuleError`] from rule construction (a bug, not an input
 /// condition — the rules are fixed).
 #[allow(clippy::too_many_arguments)]
-pub fn run_taint_model_with_cuts(
+pub fn run_taint_model_with_rewrites(
     program: &Program,
     hierarchy: &ClassHierarchy,
     spec: &TaintSpec,
     default: &dyn ContextPolicy,
     refined: &dyn ContextPolicy,
     refinement: &RefinementSet,
-    cuts: Option<&rudoop_core::cutshortcut::CutSummary>,
-) -> Result<TaintModelResult, RuleError> {
-    run_taint_model_extended(
-        program, hierarchy, spec, default, refined, refinement, cuts, None,
-    )
-}
-
-/// [`run_taint_model`] over the summary-instantiating base model (see
-/// [`crate::model::run_model_with_summaries`]). The taint rules themselves
-/// are untouched — they propagate through `CALLGRAPH`/`FORMALARG`
-/// directly, so summaries only affect them via the base model's
-/// `VARPOINTSTO`, exactly like the optimized taint client.
-///
-/// # Errors
-///
-/// Propagates [`RuleError`] from rule construction (a bug, not an input
-/// condition — the rules are fixed).
-#[allow(clippy::too_many_arguments)]
-pub fn run_taint_model_with_summaries(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    spec: &TaintSpec,
-    default: &dyn ContextPolicy,
-    refined: &dyn ContextPolicy,
-    refinement: &RefinementSet,
-    summaries: Option<&rudoop_core::summaries::SummaryTable>,
-) -> Result<TaintModelResult, RuleError> {
-    run_taint_model_extended(
-        program, hierarchy, spec, default, refined, refinement, None, summaries,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_taint_model_extended(
-    program: &Program,
-    hierarchy: &ClassHierarchy,
-    spec: &TaintSpec,
-    default: &dyn ContextPolicy,
-    refined: &dyn ContextPolicy,
-    refinement: &RefinementSet,
-    cuts: Option<&rudoop_core::cutshortcut::CutSummary>,
-    summaries: Option<&rudoop_core::summaries::SummaryTable>,
+    rewrites: Option<&rudoop_core::rewrite::RewriteTable>,
 ) -> Result<TaintModelResult, RuleError> {
     let tables = Rc::new(RefCell::new(CtxTables::new()));
     let mut engine = Engine::new();
@@ -150,8 +109,7 @@ fn run_taint_model_extended(
         default,
         refined,
         refinement,
-        cuts,
-        summaries,
+        rewrites,
     )?;
 
     // ---- Taint EDB ----

@@ -1,8 +1,8 @@
 //! Differential testing of the cut-shortcut engine: the optimized solver
 //! running `Flavor::CutShortcut` (the flow-graph pre-analysis feeding
-//! `SolverConfig::cuts`) must produce relations *byte-identical* to the
-//! Datalog reference model extended with the `CUTPARAM`/`CUTRET` negations
-//! and the three shortcut rules, on hand-seeded fixtures, arbitrary seeded
+//! `SolverConfig::rewrites`) must produce relations *byte-identical* to
+//! the Datalog reference model loaded with the same rewrite table (the
+//! `ARGREWRITTEN`/`RETREWRITTEN` negations and the rewrite rules), on hand-seeded fixtures, arbitrary seeded
 //! programs, and DaCapo-shaped workloads — for the base points-to
 //! relations and for both downstream clients (taint, races).
 //!
@@ -21,13 +21,13 @@
 use rudoop_core::context::ContextElem;
 use rudoop_core::cutshortcut::CutSummary;
 use rudoop_core::driver::{analyze_flavor, Flavor};
-use rudoop_core::policy::{
-    ContextPolicy, CutShortcut, Insensitive, ObjectSensitive, RefinementSet,
-};
+use rudoop_core::policy::{ContextPolicy, Insensitive, ObjectSensitive, RefinementSet};
 use rudoop_core::races::{analyze_races, RaceKey};
 use rudoop_core::solver::{analyze, SolverConfig};
 use rudoop_core::taint::analyze_taint;
-use rudoop_datalog::{run_model_with_cuts, run_race_model_with_cuts, run_taint_model_with_cuts};
+use rudoop_datalog::{
+    run_model_with_rewrites, run_race_model_with_rewrites, run_taint_model_with_rewrites,
+};
 use rudoop_ir::arbitrary::{generate_with_taint, ProgramShape};
 use rudoop_ir::{ClassHierarchy, InvokeId, MethodId, Program, ProgramBuilder, TaintSpec};
 use rudoop_workloads::{dacapo, WorkloadSpec};
@@ -61,7 +61,8 @@ impl Canonical {
 }
 
 /// Optimized-solver relations under `Flavor::CutShortcut` (the driver
-/// computes the cut summary and threads it through `SolverConfig::cuts`).
+/// computes the cut summary and threads its table through
+/// `SolverConfig::rewrites`).
 fn canonical_cut_solver(program: &Program, hierarchy: &ClassHierarchy) -> Canonical {
     let r = analyze_flavor(program, hierarchy, Flavor::CutShortcut, &record_config());
     assert!(r.outcome.is_complete(), "stopped early: {:?}", r.exhaustion);
@@ -96,17 +97,17 @@ fn canonical_cut_solver(program: &Program, hierarchy: &ClassHierarchy) -> Canoni
 }
 
 /// Reference-model relations with the same cut summary loaded as EDB
-/// facts (`CUTPARAM`/`CUTRET` negations + shortcut rules).
+/// facts (`ARGREWRITTEN`/`RETREWRITTEN` negations + rewrite rules).
 fn canonical_cut_model(program: &Program, hierarchy: &ClassHierarchy) -> Canonical {
     let cuts = CutSummary::compute(program);
     let refine_all = RefinementSet::refine_all(program);
-    let m = run_model_with_cuts(
+    let m = run_model_with_rewrites(
         program,
         hierarchy,
         &Insensitive,
-        &CutShortcut,
+        &Insensitive,
         &refine_all,
-        Some(&cuts),
+        Some(cuts.rewrites()),
     )
     .unwrap();
     let t = &m.tables;
@@ -208,14 +209,14 @@ fn solver_leaks(
 fn model_cut_leaks(program: &Program, hierarchy: &ClassHierarchy, spec: &TaintSpec) -> LeakSet {
     let cuts = CutSummary::compute(program);
     let refine_all = RefinementSet::refine_all(program);
-    run_taint_model_with_cuts(
+    run_taint_model_with_rewrites(
         program,
         hierarchy,
         spec,
         &Insensitive,
-        &CutShortcut,
+        &Insensitive,
         &refine_all,
-        Some(&cuts),
+        Some(cuts.rewrites()),
     )
     .unwrap()
     .leaks
@@ -254,13 +255,13 @@ fn solver_races(program: &Program, hierarchy: &ClassHierarchy, flavor: Flavor) -
 fn model_cut_races(program: &Program, hierarchy: &ClassHierarchy) -> RaceSet {
     let cuts = CutSummary::compute(program);
     let refine_all = RefinementSet::refine_all(program);
-    run_race_model_with_cuts(
+    run_race_model_with_rewrites(
         program,
         hierarchy,
         &Insensitive,
-        &CutShortcut,
+        &Insensitive,
         &refine_all,
-        Some(&cuts),
+        Some(cuts.rewrites()),
     )
     .unwrap()
     .races
@@ -401,14 +402,15 @@ fn cutshortcut_separates_boxes_without_contexts() {
     // set (o1 no longer sees box 2's item), matching 2objH's answer.
     let program = boxes_program();
     let hierarchy = ClassHierarchy::new(&program);
-    let cut = projected_solver_pts(&program, &hierarchy, &CutShortcut);
+    let bare_policy = Flavor::CutShortcut.policy(&program);
+    let cut = projected_solver_pts(&program, &hierarchy, bare_policy.as_ref());
     // `projected_solver_pts` runs a bare policy without cuts — go through
-    // the flavor driver so the summary is attached.
+    // the flavor driver so the rewrite table is attached.
     let cut_flavored = canonical_cut_solver(&program, &hierarchy).projected_pts();
     let insens = projected_solver_pts(&program, &hierarchy, &Insensitive);
     let obj = projected_solver_pts(&program, &hierarchy, &ObjectSensitive::new(2, 1));
-    // Without cuts the CutShortcut policy is just insensitivity...
-    assert_eq!(cut, insens, "bare CutShortcut policy should equal insens");
+    // Without cuts the cutshortcut flavor's policy is just insensitivity...
+    assert_eq!(cut, insens, "bare cutshortcut policy should equal insens");
     // ...with cuts it is strictly smaller — and on this fixture at least
     // as small as 2objH: the cut call edges make the setter/getter bodies
     // fully transparent, so their formals carry no tuples at all, while

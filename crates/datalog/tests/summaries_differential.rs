@@ -1,8 +1,9 @@
 //! Differential testing of the summary-based compositional engine: the
 //! optimized solver running `Flavor::Summaries` (the bottom-up SCC pass
-//! feeding `SolverConfig::summaries`) must produce relations
-//! *byte-identical* to the Datalog reference model extended with the
-//! `SUMRET` negation and the four summary-instantiation rules, on
+//! feeding `SolverConfig::rewrites`) must produce relations
+//! *byte-identical* to the Datalog reference model loaded with the same
+//! rewrite table (the `RETREWRITTEN` negation and the four return-atom
+//! rules), on
 //! hand-seeded fixtures, arbitrary seeded programs, and DaCapo-shaped
 //! workloads — for the base points-to relations and for both downstream
 //! clients (taint, races).
@@ -17,22 +18,22 @@
 //! ```
 //!
 //! and demonstrates both halves of the design decision behind it: on the
-//! setter/getter litmus the receiver-filtered `ThisFieldToRet` atoms
+//! setter/getter litmus the receiver-filtered `ReceiverField` atoms
 //! separate boxes that context insensitivity merges (strict precision),
-//! while on the identity litmus the formal-reading `ParamToRet` atoms
+//! while on the identity litmus the formal-reading `Formal` atoms
 //! deliberately *match* insensitivity — a per-site argument edge would
 //! out-precision `2objH` where it conflates static call sites, breaking
 //! the upper chain.
 
 use rudoop_core::context::ContextElem;
 use rudoop_core::driver::{analyze_flavor, Flavor};
-use rudoop_core::policy::{ContextPolicy, Insensitive, ObjectSensitive, RefinementSet, Summaries};
+use rudoop_core::policy::{ContextPolicy, Insensitive, ObjectSensitive, RefinementSet};
 use rudoop_core::races::{analyze_races, RaceKey};
 use rudoop_core::solver::{analyze, SolverConfig};
 use rudoop_core::summaries::SummaryTable;
 use rudoop_core::taint::analyze_taint;
 use rudoop_datalog::{
-    run_model_with_summaries, run_race_model_with_summaries, run_taint_model_with_summaries,
+    run_model_with_rewrites, run_race_model_with_rewrites, run_taint_model_with_rewrites,
 };
 use rudoop_ir::arbitrary::{generate_with_taint, ProgramShape};
 use rudoop_ir::{ClassHierarchy, InvokeId, MethodId, Program, ProgramBuilder, TaintSpec};
@@ -68,7 +69,7 @@ impl Canonical {
 
 /// Optimized-solver relations under `Flavor::Summaries` (the driver
 /// computes the summary table and threads it through
-/// `SolverConfig::summaries`).
+/// `SolverConfig::rewrites`).
 fn canonical_summary_solver(program: &Program, hierarchy: &ClassHierarchy) -> Canonical {
     let r = analyze_flavor(program, hierarchy, Flavor::Summaries, &record_config());
     assert!(r.outcome.is_complete(), "stopped early: {:?}", r.exhaustion);
@@ -103,17 +104,17 @@ fn canonical_summary_solver(program: &Program, hierarchy: &ClassHierarchy) -> Ca
 }
 
 /// Reference-model relations with the same summary table loaded as EDB
-/// facts (`SUMRET` negation + the four instantiation rules).
+/// facts (`RETREWRITTEN` negation + the four return-atom rules).
 fn canonical_summary_model(program: &Program, hierarchy: &ClassHierarchy) -> Canonical {
     let table = SummaryTable::compute(program, hierarchy);
     let refine_all = RefinementSet::refine_all(program);
-    let m = run_model_with_summaries(
+    let m = run_model_with_rewrites(
         program,
         hierarchy,
         &Insensitive,
-        &Summaries,
+        &Insensitive,
         &refine_all,
-        Some(&table),
+        Some(table.rewrites()),
     )
     .unwrap();
     let t = &m.tables;
@@ -221,14 +222,14 @@ fn solver_leaks(
 fn model_summary_leaks(program: &Program, hierarchy: &ClassHierarchy, spec: &TaintSpec) -> LeakSet {
     let table = SummaryTable::compute(program, hierarchy);
     let refine_all = RefinementSet::refine_all(program);
-    run_taint_model_with_summaries(
+    run_taint_model_with_rewrites(
         program,
         hierarchy,
         spec,
         &Insensitive,
-        &Summaries,
+        &Insensitive,
         &refine_all,
-        Some(&table),
+        Some(table.rewrites()),
     )
     .unwrap()
     .leaks
@@ -267,13 +268,13 @@ fn solver_races(program: &Program, hierarchy: &ClassHierarchy, flavor: Flavor) -
 fn model_summary_races(program: &Program, hierarchy: &ClassHierarchy) -> RaceSet {
     let table = SummaryTable::compute(program, hierarchy);
     let refine_all = RefinementSet::refine_all(program);
-    run_race_model_with_summaries(
+    run_race_model_with_rewrites(
         program,
         hierarchy,
         &Insensitive,
-        &Summaries,
+        &Insensitive,
         &refine_all,
-        Some(&table),
+        Some(table.rewrites()),
     )
     .unwrap()
     .races
@@ -304,7 +305,7 @@ fn check_races(name: &str, program: &Program) {
 // ---------------------------------------------------------------- fixtures
 
 /// Identity function, two static call sites with distinct arguments, plus
-/// a result-less third call. `id` distills to `ParamToRet(id, 0)`; both
+/// a result-less third call. `id` distills to `Formal(id, 0)`; both
 /// results read the shared formal.
 fn identity_program() -> Program {
     let mut b = ProgramBuilder::new();
@@ -327,7 +328,7 @@ fn identity_program() -> Program {
 }
 
 /// Boxes filled by *direct* caller-side stores and read through a shared
-/// getter — the getter litmus. `get` distills to `ThisFieldToRet(val)`,
+/// getter — the getter litmus. `get` distills to `ReceiverField(val)`,
 /// so each call site loads the field through *its own* receiver objects,
 /// separating the two boxes without building a single context. (A shared
 /// *setter* would re-conflate the fields before the getter filter could
@@ -365,7 +366,7 @@ fn boxes_program() -> Program {
 }
 
 /// A factory whose parameter escapes into a field of the returned fresh
-/// object. The return slice is just the allocation (`AllocToRet`), while
+/// object. The return slice is just the allocation (`Alloc`), while
 /// the escaping store rides on the untouched argument edges — the call
 /// edge must stay intact and keep the callee reachable.
 fn escape_program() -> Program {
@@ -391,7 +392,7 @@ fn escape_program() -> Program {
 }
 
 /// A two-method recursion distilled to an SCC fixpoint, called from two
-/// static sites — exercises composed `ParamToRet` atoms (which keep
+/// static sites — exercises composed `Formal` atoms (which keep
 /// pointing at the *inner* formal) against the model.
 fn recursion_program() -> Program {
     let mut b = ProgramBuilder::new();
@@ -445,18 +446,19 @@ fn fixtures_pin_summaries_to_model() {
 #[test]
 fn summaries_separate_boxes_without_contexts() {
     // Strict precision over insensitivity: on the setter/getter litmus the
-    // receiver-filtered `ThisFieldToRet` instantiation must shrink the
+    // receiver-filtered `ReceiverField` instantiation must shrink the
     // context-erased points-to set (o1 no longer sees box 2's item).
     let program = boxes_program();
     let hierarchy = ClassHierarchy::new(&program);
-    let bare = projected_solver_pts(&program, &hierarchy, &Summaries);
+    let bare_policy = Flavor::Summaries.policy(&program);
+    let bare = projected_solver_pts(&program, &hierarchy, bare_policy.as_ref());
     // `projected_solver_pts` runs the bare policy without a table — go
     // through the flavor driver so the summary pass is attached.
     let sum = canonical_summary_solver(&program, &hierarchy).projected_pts();
     let insens = projected_solver_pts(&program, &hierarchy, &Insensitive);
     let obj = projected_solver_pts(&program, &hierarchy, &ObjectSensitive::new(2, 1));
-    // Without a table the Summaries policy is just insensitivity...
-    assert_eq!(bare, insens, "bare Summaries policy should equal insens");
+    // Without a table the summaries flavor's policy is just insensitivity...
+    assert_eq!(bare, insens, "bare summaries policy should equal insens");
     // ...with one it is strictly smaller, and sandwiched by 2objH.
     assert!(
         sum.len() < insens.len(),
@@ -469,7 +471,7 @@ fn summaries_separate_boxes_without_contexts() {
 
 #[test]
 fn formal_reading_param_atoms_match_insens_on_identity() {
-    // The deliberate imprecision half of the chain contract: `ParamToRet`
+    // The deliberate imprecision half of the chain contract: `Formal`
     // reads the shared formal (the union over call sites), so on the
     // identity litmus — where 2objH itself conflates the static sites —
     // summaries, 2objH and insens all agree. A per-site argument edge
